@@ -6,6 +6,10 @@ conjugating by the per-qubit Kraus pair on all n qubits multiplies the
 matrix element rho[a, b] by exp(-r * dt * hamming(a, b)), where r is the
 per-step coherence decay rate. This is exact, not an approximation, since
 the local Kraus operators are diagonal and commute.
+
+Both halves of a bin factor over qubits, and the gates of one time slot act
+on disjoint qubit groups, so the engine never forms a 2^n x 2^n operator: a
+slot is one small local superoperator per group, raised to its step count.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import GateSegment
-from .tensor_core import DensityMatrix, embed
+from .tensor_core import DensityMatrix, check_sites
 
 TIME_GRID_ATOL = 1e-9
 
@@ -101,37 +105,6 @@ class EvolutionConfig:
         return round((t_to - t_from) / self.dt)
 
 
-_HAMMING_CACHE: dict[int, np.ndarray] = {}
-
-
-def hamming_matrix(n: int) -> np.ndarray:
-    """Pairwise Hamming distances between all n-bit basis indices."""
-    h = _HAMMING_CACHE.get(n)
-    if h is None:
-        idx = np.arange(2 ** n)
-        h = np.zeros((2 ** n, 2 ** n))
-        for b in range(n):
-            bit = (idx >> b) & 1
-            h += bit[:, None] != bit[None, :]
-        _HAMMING_CACHE[n] = h
-    return h
-
-
-def dephasing_mask(noise: NoiseModel, dt: float) -> np.ndarray:
-    """Elementwise factor applied to rho by one dissipative step on all qubits."""
-    return np.exp(-noise.coherence_rate * dt * hamming_matrix(noise.num_qubits))
-
-
-def dissipative_step(rho: DensityMatrix, noise: NoiseModel, dt: float) -> DensityMatrix:
-    """One dephasing bin on every qubit; populations are left unchanged."""
-    if noise.num_qubits != rho.num_qubits:
-        raise ValueError(
-            f"noise model is for {noise.num_qubits} qubits, state has "
-            f"{rho.num_qubits}"
-        )
-    return DensityMatrix(rho.matrix * dephasing_mask(noise, dt), rho.num_qubits)
-
-
 def _check_disjoint(segments) -> None:
     seen: set[int] = set()
     for seg in segments:
@@ -143,20 +116,41 @@ def _check_disjoint(segments) -> None:
         seen |= set(seg.sites)
 
 
-def slot_unitary(segments: list[GateSegment], dt: float, n: int) -> np.ndarray:
-    """Product of the embedded per-segment step unitaries for one time slot."""
+def slot_unitary(segments: list[GateSegment], dt: float,
+                 n: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Local factors of one time slot's step unitary: (sites, exp(-i H dt))
+    per segment. The segments must act on disjoint sites of an n-qubit
+    register; the slot's step unitary is the tensor product of the factors."""
     _check_disjoint(segments)
-    u = np.eye(2 ** n, dtype=complex)
-    for seg in segments:
-        u = embed(seg.step_unitary(dt), seg.sites, n) @ u
-    return u
+    return [(check_sites(seg.sites, n), seg.step_unitary(dt)) for seg in segments]
 
 
-def unitary_step(rho: DensityMatrix, segments: list[GateSegment],
-                 dt: float) -> DensityMatrix:
-    """One unitary bin: rho -> U rho U' with U the product of step unitaries."""
-    u = slot_unitary(segments, dt, rho.num_qubits)
-    return DensityMatrix(u @ rho.matrix @ u.conj().T, rho.num_qubits)
+def _dephasing_diagonal(k: int, decay: float) -> np.ndarray:
+    """Diagonal of one k-qubit dephasing step on the flattened (row, col)
+    index: rho[a, b] picks up decay ** hamming(a, b)."""
+    bits = (np.arange(4 ** k)[:, None] >> np.arange(2 * k)[::-1]) & 1
+    return decay ** np.count_nonzero(bits[:, :k] != bits[:, k:], axis=1)
+
+
+def _apply_local(state: np.ndarray, superop: np.ndarray, sites, n: int) -> np.ndarray:
+    """Apply a superoperator on the (row, col) indices of the listed sites of
+    a batched (B, 2, ..., 2) density tensor; axis 0 is the batch."""
+    k = len(sites)
+    axes = list(sites) + [n + s for s in sites]
+    m = superop.reshape((2,) * (4 * k))
+    out = np.tensordot(m, state, axes=(list(range(2 * k, 4 * k)), axes))
+    return np.moveaxis(out, list(range(2 * k)), axes)
+
+
+def _dephase_idle(state: np.ndarray, sites, factor: float, n: int) -> np.ndarray:
+    """Multiply the coherences of each listed qubit by factor, in one pass
+    over the state with a mask over the listed qubits' axes only."""
+    mask = np.ones((1,) * (2 * n + 1))
+    for q in sites:
+        shape = [1] * (2 * n + 1)
+        shape[q] = shape[n + q] = 2
+        mask = mask * np.array([[1.0, factor], [factor, 1.0]]).reshape(shape)
+    return state * mask
 
 
 def _slot_edges(segments, t_from: float, t_to: float) -> list[float]:
@@ -170,23 +164,35 @@ def _slot_edges(segments, t_from: float, t_to: float) -> list[float]:
 
 def evolve_array(rho: np.ndarray, segments, noise: NoiseModel,
                  cfg: EvolutionConfig, t_from: float, t_to: float) -> np.ndarray:
-    """Batched raw-array evolution; rho has shape (..., 2^n, 2^n)."""
+    """Batched raw-array evolution; rho has shape (..., 2^n, 2^n).
+
+    One Trotter step is the unitary sandwich U rho U' followed by dephasing of
+    every qubit. Both factor over the disjoint qubit groups of a time slot, so
+    the slot's nsteps steps are applied group by group: D (U (x) U*) raised
+    to nsteps for each gate on k qubits (a 4^k x 4^k map, D the k-qubit
+    dephasing diagonal), and dephasing alone for each idle qubit.
+    """
     if t_from >= t_to:
         raise ValueError(f"need t_from < t_to, got {t_from} >= {t_to}")
     n = noise.num_qubits
-    mask = dephasing_mask(noise, cfg.dt) if noise.gamma > 0 else None
+    d = 2 ** n
+    if rho.shape[-2:] != (d, d):
+        raise ValueError(f"expected (..., {d}, {d}) states, got {rho.shape}")
+    decay = np.exp(-noise.coherence_rate * cfg.dt)
+    state = rho.reshape((-1,) + (2,) * (2 * n))
     edges = _slot_edges(segments, t_from, t_to)
     for a, b in zip(edges, edges[1:]):
         nsteps = cfg.steps_between(a, b)
-        active = [s for s in segments if s.active_at(a)]
-        u = slot_unitary(active, cfg.dt, n)
-        udag = u.conj().T
-        for _ in range(nsteps):
-            if active:
-                rho = u @ rho @ udag
-            if mask is not None:
-                rho = rho * mask
-    return rho
+        factors = slot_unitary([s for s in segments if s.active_at(a)], cfg.dt, n)
+        idle = set(range(1, n + 1))
+        for sites, u in factors:
+            dephase = _dephasing_diagonal(len(sites), decay)[:, None]
+            step = np.linalg.matrix_power(dephase * np.kron(u, u.conj()), nsteps)
+            state = _apply_local(state, step, sites, n)
+            idle -= set(sites)
+        if idle and noise.gamma > 0:
+            state = _dephase_idle(state, sorted(idle), decay ** nsteps, n)
+    return state.reshape(rho.shape)
 
 
 def evolve(rho: DensityMatrix, schedule, noise: NoiseModel,

@@ -258,36 +258,6 @@ def entry_segment(entry: ScheduleEntry, alpha: float) -> GateSegment:
     return GateSegment(gen, entry.sites, entry.start, tau)
 
 
-def _compose_window(parsed: ParsedSchedule, alpha: float, sites_subset,
-                    site_map) -> np.ndarray:
-    """Compose the encode-window gates on a 3-qubit register."""
-    from .tensor_core import embed
-
-    window = [e for e in parsed.entries
-              if parsed.t1 - 1e-9 <= e.start < parsed.t2 - 1e-9
-              and set(e.sites) <= set(sites_subset)]
-    window.sort(key=lambda e: e.start)
-    u = np.eye(8, dtype=complex)
-    for e in window:
-        seg = entry_segment(e, alpha)
-        local = tuple(site_map[s] for s in seg.sites)
-        u = embed(seg.unitary(), local, 3) @ u
-    return u
-
-
-def scrambling_unitary(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """The 3-qubit scrambling encoder U(alpha) and its conjugate U*(alpha).
-
-    The encoder acts on qubits (1,2,3); in the teleportation circuit the
-    conjugate acts on qubits (6,5,4), i.e. in mirrored site order.
-    """
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    parsed = load_schedule("scrambling")
-    u = _compose_window(parsed, alpha, (1, 2, 3), {1: 1, 2: 2, 3: 3})
-    return u, u.conj()
-
-
 def swap_unitary(alpha: float) -> tuple[list[GateSegment], list[GateSegment]]:
     """Encoder and decoder segment sequences of the SWAP-based circuit."""
     if not 0 <= alpha <= 1:

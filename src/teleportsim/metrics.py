@@ -72,6 +72,31 @@ def pairwise_total_negativity(rho: DensityMatrix, log_base: float = 2) -> float:
     return total
 
 
+def projected_cut_negativities(post: np.ndarray, pair: tuple[int, int],
+                               log_base: float = 2) -> list[float]:
+    """Log negativities of the cuts (1..k | k+1..n), k = 1..n-1, of a state
+    projected onto |00> of the measured pair: |00><00| on the pair times a
+    state sigma on the other qubits. A pure product factor adds nothing to a
+    cut, so each is sigma's cut at its kept qubits left of k (zero if sigma
+    stays whole), and equal cuts share one solve on sigma's small block."""
+    n = int(round(np.log2(post.shape[-1])))
+    idx = [slice(None)] * (2 * n)
+    for q in pair:
+        idx[q - 1] = idx[n + q - 1] = 0
+    sigma = DensityMatrix(
+        post.reshape((2,) * (2 * n))[tuple(idx)].reshape(2 ** (n - 2), -1), n - 2)
+    kept = [q for q in range(1, n + 1) if q not in pair]
+    by_split: dict[int, float] = {0: 0.0, n - 2: 0.0}
+    out = []
+    for k in range(1, n):
+        split = sum(q <= k for q in kept)
+        if split not in by_split:
+            by_split[split] = log_negativity(
+                sigma, tuple(range(split + 1, n - 1)), log_base)
+        out.append(by_split[split])
+    return out
+
+
 def delta_E(traj: Trajectory, which: str, log_base: float = 2) -> float:
     """Change of the summed cut negativity across a protocol phase.
 
@@ -128,13 +153,13 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
     rho2 = evolve_array(rho1, sched.segments, noise, cfg, sched.t1, sched.t2)
     rho3 = evolve_array(rho2, sched.segments, noise, cfg, sched.t2, sched.t3)
 
-    cut_b = tuple(range(sched.measurement_pair[1], protocol.NUM_QUBITS + 1))
+    pair = sched.measurement_pair
     fids, purs, negs, probs, dus, dms = [], [], [], [], [], []
     post_sum = np.zeros_like(rho3[0])
     failed = []
     for i, phi in enumerate(PAULI_EIGENSTATES):
         try:
-            post, prob = protocol.project_pair(rho3[i], sched.measurement_pair)
+            post, prob = protocol.project_pair(rho3[i], pair)
         except PostselectionImpossibleError:
             failed.append(phi.label)
             continue
@@ -142,12 +167,13 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
         rho7 = partial_trace(dm_post, (protocol.NUM_QUBITS,))
         fids.append(fidelity(rho7, phi))
         purs.append(purity(dm_post))
-        negs.append(log_negativity(dm_post, cut_b, log_base))
+        cuts = projected_cut_negativities(post, pair, log_base)
+        # the cut (1..p2-1 | p2..n), with p2 the pair's second qubit
+        negs.append(cuts[pair[1] - 2])
         probs.append(prob)
         n1 = total_negativity(DensityMatrix(rho1[i], protocol.NUM_QUBITS), log_base)
         n2 = total_negativity(DensityMatrix(rho2[i], protocol.NUM_QUBITS), log_base)
-        n3 = total_negativity(dm_post, log_base)
-        dus.append((n1, n2, n3))
+        dus.append((n1, n2, sum(cuts)))
         post_sum += post
     if not fids:
         raise PostselectionImpossibleError(

@@ -4,8 +4,10 @@ delimiter-separated output and per-figure data emission.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,60 +202,94 @@ def _header_lines(cfg: SweepConfig) -> list[str]:
 
 
 def worker_count() -> int:
+    """Worker processes for a sweep: SIM_THREADS if set, else the CPU count."""
     env = os.environ.get("SIM_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ConfigError(f"SIM_THREADS must be a positive integer, got {env!r}")
+    return int(env)
+
+
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _ordered_map(nworkers: int):
+    """A lazy map with results in input order: the builtin one, or for
+    nworkers > 1 a pool's. Each worker runs one BLAS/OpenMP thread unless the
+    user set those counts, as a threaded BLAS per worker oversubscribes the
+    CPUs; the libraries read the variables when they load, hence spawn."""
+    if nworkers <= 1:
+        yield map
+        return
+    unset = [v for v in _BLAS_THREAD_VARS if v not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        with ProcessPoolExecutor(
+                nworkers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool.map
+    finally:
+        for v in unset:
+            os.environ.pop(v, None)
+
+
+# a row is reused on resume only if it was computed with the same settings
+_KEY_COLUMNS = tuple(COLUMNS.index(c) for c in (
+    "protocol", "alpha", "gamma", "dt", "log_base", "rate_convention"))
+
+
+def _row_key(row: str) -> tuple[str, ...]:
+    parts = row.split(",")
+    return tuple(parts[i] for i in _KEY_COLUMNS)
+
+
+def _reusable_rows(path: str) -> dict[tuple[str, ...], str]:
+    """Complete, error-free data rows of an earlier sweep file, by key."""
+    done: dict[tuple[str, ...], str] = {}
+    if not os.path.exists(path):
+        return done
+    with open(path) as fh:
+        for line in fh:
+            # a line cut off mid-write has no newline; the column header's
+            # last field reads "error"
+            parts = line[:-1].split(",")
+            if line.endswith("\n") and len(parts) == len(COLUMNS) and not parts[-1]:
+                done[_row_key(line[:-1])] = line[:-1]
+    return done
 
 
 def run_sweep(cfg: SweepConfig, out_path: str | None = None) -> list[str]:
     """Evaluate the full grid, writing one row per point in fixed order.
 
-    The output file is rewritten row-by-row so an interrupted sweep can be
-    resumed; with cfg.resume, rows already present are reused verbatim.
+    The header is written first and each row is appended, in grid order, as
+    soon as it is known, so an interrupted sweep leaves a prefix of the grid.
+    With cfg.resume, rows of the existing file are reused verbatim when their
+    protocol, alpha, gamma, dt, log_base and rate_convention match a grid
+    point and their error column is empty; all other points are computed.
     Returns the data rows.
     """
     out_path = out_path or cfg.output_path
     points = grid_points(cfg)
-    done: dict[str, str] = {}
-    if cfg.resume and os.path.exists(out_path):
-        with open(out_path) as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line or line.startswith("#") or line.startswith("protocol,"):
-                    continue
-                parts = line.split(",")
-                done[",".join(parts[:3])] = line
-
-    keys = [_format_row(None, p, cfg).split(",")[:3] for p in points]
-    keys = [",".join(k) for k in keys]
-    rows: list[str | None] = [done.get(k) for k in keys]
-    pending = [i for i, r in enumerate(rows) if r is None]
-
-    if pending:
-        nworkers = min(worker_count(), len(pending))
-        if nworkers > 1:
-            with ProcessPoolExecutor(max_workers=nworkers) as pool:
-                for i, row in zip(pending, pool.map(
-                        _compute_row, [(points[i], cfg) for i in pending])):
-                    rows[i] = row
-                    _write_rows(out_path, cfg, rows)
-        else:
-            for i in pending:
-                rows[i] = _compute_row((points[i], cfg))
-                _write_rows(out_path, cfg, rows)
-    _write_rows(out_path, cfg, rows)
-    return [r for r in rows if r is not None]
+    done = _reusable_rows(out_path) if cfg.resume else {}
+    keys = [_row_key(_format_row(None, p, cfg)) for p in points]
+    pending = [(p, cfg) for p, k in zip(points, keys) if k not in done]
+    nworkers = min(worker_count(), len(pending))
+    _write_rows(out_path, _header_lines(cfg), mode="w")
+    rows = []
+    with _ordered_map(nworkers) as ordered_map:
+        computed = ordered_map(_compute_row, pending)
+        for key in keys:
+            row = done[key] if key in done else next(computed)
+            _write_rows(out_path, [row])
+            rows.append(row)
+    return rows
 
 
-def _write_rows(out_path: str, cfg: SweepConfig, rows) -> None:
-    tmp = out_path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(_header_lines(cfg)) + "\n")
-        for row in rows:
-            if row is not None:
-                fh.write(row + "\n")
-    os.replace(tmp, out_path)
+def _write_rows(out_path: str, lines: list[str], mode: str = "a") -> None:
+    """Write the lines with one write; closing the file flushes it."""
+    with open(out_path, mode) as fh:
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def _load_records(rows: list[str]) -> list[dict]:
@@ -281,48 +317,28 @@ def _pick(records, protocol, alpha=None, gamma=None):
     return out
 
 
-def _cut_table(records, protocol, metric, gammas) -> list[str]:
-    """Lines of alpha vs metric at fixed gamma cuts."""
+def _panel_table(records, protocol, metric, fixed, cuts) -> list[str]:
+    """Lines of metric against the free grid axis, one column per value of
+    the fixed axis ('alpha' or 'gamma') in cuts."""
+    free = "gamma" if fixed == "alpha" else "alpha"
     columns = []
-    alphas = None
-    for g in gammas:
-        sel = sorted(_pick(records, protocol, gamma=g), key=lambda r: r["alpha"])
+    xs = None
+    for c in cuts:
+        sel = sorted(_pick(records, protocol, **{fixed: c}), key=lambda r: r[free])
         if not sel:
             raise ValueError(
-                f"missing grid coverage: protocol={protocol} gamma={g}"
+                f"missing grid coverage: protocol={protocol} {fixed}={c}"
             )
-        cur = [r["alpha"] for r in sel]
-        if alphas is None:
-            alphas = cur
-        elif len(cur) != len(alphas):
-            raise ValueError("inconsistent alpha coverage across gamma cuts")
+        cur = [r[free] for r in sel]
+        if xs is None:
+            xs = cur
+        elif len(cur) != len(xs):
+            raise ValueError(f"inconsistent {free} coverage across {fixed} cuts")
         columns.append([r[metric] for r in sel])
-    header = "alpha," + ",".join(f"{metric}@gamma={g:.12g}" for g in gammas)
+    header = f"{free}," + ",".join(f"{metric}@{fixed}={c:.12g}" for c in cuts)
     lines = [header]
-    for i, a in enumerate(alphas):
-        lines.append(",".join([f"{a:.12g}"] + [f"{c[i]:.12g}" for c in columns]))
-    return lines
-
-
-def _decay_table(records, protocol, metric, alphas) -> list[str]:
-    columns = []
-    gammas = None
-    for a in alphas:
-        sel = sorted(_pick(records, protocol, alpha=a), key=lambda r: r["gamma"])
-        if not sel:
-            raise ValueError(
-                f"missing grid coverage: protocol={protocol} alpha={a}"
-            )
-        cur = [r["gamma"] for r in sel]
-        if gammas is None:
-            gammas = cur
-        elif len(cur) != len(gammas):
-            raise ValueError("inconsistent gamma coverage across alpha cuts")
-        columns.append([r[metric] for r in sel])
-    header = "gamma," + ",".join(f"{metric}@alpha={a:.12g}" for a in alphas)
-    lines = [header]
-    for i, g in enumerate(gammas):
-        lines.append(",".join([f"{g:.12g}"] + [f"{c[i]:.12g}" for c in columns]))
+    for i, x in enumerate(xs):
+        lines.append(",".join([f"{x:.12g}"] + [f"{c[i]:.12g}" for c in columns]))
     return lines
 
 
@@ -344,21 +360,23 @@ def emit_figure_data(rows: list[str], figure_id: str, out_dir: str,
         for metric in ("fidelity_avg", "purity_avg", "neg_cut34"):
             panels.append((
                 f"{figure_id}_{metric}.csv",
-                _cut_table(records, protocol, metric, _CUT_GAMMAS),
+                _panel_table(records, protocol, metric, "gamma", _CUT_GAMMAS),
             ))
     elif figure_id == "fig4":
         for protocol in ("scrambling", "swap"):
             for metric in ("delta_E_U", "delta_E_M"):
                 panels.append((
                     f"fig4_{metric}_{protocol}.csv",
-                    _cut_table(records, protocol, metric, _CUT_GAMMAS),
+                    _panel_table(records, protocol, metric, "gamma",
+                                 _CUT_GAMMAS),
                 ))
     else:
         for protocol in ("scrambling", "swap"):
             for metric in ("fidelity_avg", "purity_avg"):
                 panels.append((
                     f"fig7_{metric}_{protocol}.csv",
-                    _decay_table(records, protocol, metric, _CUT_ALPHAS),
+                    _panel_table(records, protocol, metric, "alpha",
+                                 _CUT_ALPHAS),
                 ))
     paths = []
     for name, lines in panels:

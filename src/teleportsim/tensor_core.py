@@ -87,30 +87,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def embed(op: np.ndarray, sites, n: int) -> np.ndarray:
-    """Lift a k-site operator to the full 2^n space.
-
-    The operator acts on the listed sites (in listed order) and as the
-    identity elsewhere. Sites need not be contiguous or sorted.
-    """
-    op = np.asarray(op, dtype=complex)
-    sites = check_sites(sites, n)
-    k = len(sites)
-    if op.shape != (2 ** k, 2 ** k):
-        raise ValueError(
-            f"operator of shape {op.shape} does not act on {k} site(s)"
-        )
-    if k == n and sites == tuple(range(1, n + 1)):
-        return op.copy()
-    rest = [q for q in range(1, n + 1) if q not in sites]
-    big = np.kron(op, np.eye(2 ** (n - k))).reshape((2,) * (2 * n))
-    # row/col axes are currently ordered (sites..., rest...); permute to 1..n
-    current = list(sites) + rest
-    perm = [current.index(q) for q in range(1, n + 1)]
-    big = big.transpose(perm + [p + n for p in perm])
-    return np.ascontiguousarray(big.reshape(2 ** n, 2 ** n))
-
-
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out all qubits not in `keep`."""
     n = rho.num_qubits

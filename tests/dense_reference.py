@@ -1,0 +1,138 @@
+"""Dense references the package no longer carries, for the tests.
+
+The dense Trotter stepper is the noisy reference the local-superoperator
+engine of `teleportsim.evolution` is checked against: every bin embeds the
+slot's step unitaries into one 2^n x 2^n matrix U, applies rho -> U rho U',
+and then multiplies rho elementwise by the dephasing mask
+exp(-r dt hamming(a, b)). This is the same Trotterized model the package
+computes, written the slow and obvious way. `scrambling_unitary` composes
+the encoder from the packaged schedule lines the same way.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from teleportsim.evolution import (EvolutionConfig, NoiseModel, _check_disjoint,
+                                   _slot_edges)
+from teleportsim.gates import ParsedSchedule, entry_segment, load_schedule
+from teleportsim.tensor_core import DensityMatrix, check_sites
+
+
+def embed(op: np.ndarray, sites, n: int) -> np.ndarray:
+    """Lift a k-site operator to the full 2^n space.
+
+    The operator acts on the listed sites (in listed order) and as the
+    identity elsewhere. Sites need not be contiguous or sorted.
+    """
+    op = np.asarray(op, dtype=complex)
+    sites = check_sites(sites, n)
+    k = len(sites)
+    if op.shape != (2 ** k, 2 ** k):
+        raise ValueError(
+            f"operator of shape {op.shape} does not act on {k} site(s)"
+        )
+    if k == n and sites == tuple(range(1, n + 1)):
+        return op.copy()
+    rest = [q for q in range(1, n + 1) if q not in sites]
+    big = np.kron(op, np.eye(2 ** (n - k))).reshape((2,) * (2 * n))
+    # row/col axes are currently ordered (sites..., rest...); permute to 1..n
+    current = list(sites) + rest
+    perm = [current.index(q) for q in range(1, n + 1)]
+    big = big.transpose(perm + [p + n for p in perm])
+    return np.ascontiguousarray(big.reshape(2 ** n, 2 ** n))
+
+
+def compose_window(parsed: ParsedSchedule, alpha: float, sites_subset,
+                   site_map) -> np.ndarray:
+    """Compose the encode-window gates on a 3-qubit register."""
+    window = [e for e in parsed.entries
+              if parsed.t1 - 1e-9 <= e.start < parsed.t2 - 1e-9
+              and set(e.sites) <= set(sites_subset)]
+    window.sort(key=lambda e: e.start)
+    u = np.eye(8, dtype=complex)
+    for e in window:
+        seg = entry_segment(e, alpha)
+        local = tuple(site_map[s] for s in seg.sites)
+        u = embed(seg.unitary(), local, 3) @ u
+    return u
+
+
+def scrambling_unitary(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 3-qubit scrambling encoder U(alpha) and its conjugate U*(alpha).
+
+    The encoder acts on qubits (1,2,3); in the teleportation circuit the
+    conjugate acts on qubits (6,5,4), i.e. in mirrored site order.
+    """
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    parsed = load_schedule("scrambling")
+    u = compose_window(parsed, alpha, (1, 2, 3), {1: 1, 2: 2, 3: 3})
+    return u, u.conj()
+
+
+_HAMMING_CACHE: dict[int, np.ndarray] = {}
+
+
+def hamming_matrix(n: int) -> np.ndarray:
+    """Pairwise Hamming distances between all n-bit basis indices."""
+    h = _HAMMING_CACHE.get(n)
+    if h is None:
+        idx = np.arange(2 ** n)
+        h = np.zeros((2 ** n, 2 ** n))
+        for b in range(n):
+            bit = (idx >> b) & 1
+            h += bit[:, None] != bit[None, :]
+        _HAMMING_CACHE[n] = h
+    return h
+
+
+def dephasing_mask(noise: NoiseModel, dt: float) -> np.ndarray:
+    """Elementwise factor applied to rho by one dissipative step on all qubits."""
+    return np.exp(-noise.coherence_rate * dt * hamming_matrix(noise.num_qubits))
+
+
+def dissipative_step(rho: DensityMatrix, noise: NoiseModel, dt: float) -> DensityMatrix:
+    """One dephasing bin on every qubit; populations are left unchanged."""
+    if noise.num_qubits != rho.num_qubits:
+        raise ValueError(
+            f"noise model is for {noise.num_qubits} qubits, state has "
+            f"{rho.num_qubits}"
+        )
+    return DensityMatrix(rho.matrix * dephasing_mask(noise, dt), rho.num_qubits)
+
+
+def slot_unitary(segments, dt: float, n: int) -> np.ndarray:
+    """Product of the embedded per-segment step unitaries for one time slot."""
+    _check_disjoint(segments)
+    u = np.eye(2 ** n, dtype=complex)
+    for seg in segments:
+        u = embed(seg.step_unitary(dt), seg.sites, n) @ u
+    return u
+
+
+def unitary_step(rho: DensityMatrix, segments, dt: float) -> DensityMatrix:
+    """One unitary bin: rho -> U rho U' with U the product of step unitaries."""
+    u = slot_unitary(segments, dt, rho.num_qubits)
+    return DensityMatrix(u @ rho.matrix @ u.conj().T, rho.num_qubits)
+
+
+def evolve_array(rho: np.ndarray, segments, noise: NoiseModel,
+                 cfg: EvolutionConfig, t_from: float, t_to: float) -> np.ndarray:
+    """Batched dense evolution; rho has shape (..., 2^n, 2^n)."""
+    if t_from >= t_to:
+        raise ValueError(f"need t_from < t_to, got {t_from} >= {t_to}")
+    n = noise.num_qubits
+    mask = dephasing_mask(noise, cfg.dt) if noise.gamma > 0 else None
+    edges = _slot_edges(segments, t_from, t_to)
+    for a, b in zip(edges, edges[1:]):
+        nsteps = cfg.steps_between(a, b)
+        active = [s for s in segments if s.active_at(a)]
+        u = slot_unitary(active, cfg.dt, n)
+        udag = u.conj().T
+        for _ in range(nsteps):
+            if active:
+                rho = u @ rho @ udag
+            if mask is not None:
+                rho = rho * mask
+    return rho

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teleportsim.evolution import (EvolutionConfig, NoiseModel,
-                                   dephasing_kraus, dephasing_mask,
-                                   dissipative_step, evolve, hamming_matrix,
-                                   unitary_step)
-from teleportsim.gates import rz_gate, segmentize, xx_gate
-from teleportsim.tensor_core import DensityMatrix, embed
+                                   dephasing_kraus, evolve, evolve_array)
+from teleportsim.gates import GateSegment, rz_gate, segmentize, xx_gate
+from teleportsim.tensor_core import DensityMatrix
+
+import dense_reference
+from dense_reference import (dephasing_mask, dissipative_step, embed,
+                             hamming_matrix, unitary_step)
 
 
 def random_density(rng, n):
@@ -207,3 +209,43 @@ def test_dissipative_step_is_cptp(gamma, seed):
     out = dissipative_step(rho, NoiseModel(gamma, 2), 0.01)
     assert abs(out.trace() - 1) < 1e-12
     out.validate()
+
+
+def random_layout(rng, n, dt):
+    """Gate segments in layers of random length; each layer splits the qubits
+    into idle ones and 1- and 2-qubit gates (sites in random order) that may
+    stop halfway through the layer, leaving their qubits idle after."""
+    segments, t = [], 0.0
+    for _ in range(rng.integers(1, 4)):
+        length = dt * rng.integers(1, 5) * 2
+        order = list(rng.permutation(np.arange(1, n + 1)))
+        while order:
+            k = min(len(order), int(rng.integers(0, 3)))
+            if k == 0:
+                order.pop()
+                continue
+            sites, order = tuple(int(q) for q in order[:k]), order[k:]
+            a = rng.normal(size=(2 ** k,) * 2) + 1j * rng.normal(size=(2 ** k,) * 2)
+            dur = length if rng.random() < 0.5 else length / 2
+            segments.append(GateSegment(a + a.conj().T, sites, t, dur))
+        t += length
+    return segments, t
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       st.one_of(st.just(0.0), st.floats(0.001, 0.5)),
+       st.sampled_from(["kraus", "lindblad"]), st.sampled_from([0.05, 0.1]))
+def test_evolve_array_matches_dense_reference(n, seed, gamma, convention, dt):
+    rng = np.random.default_rng(seed)
+    segments, t_end = random_layout(rng, n, dt)
+    t_mid = dt * rng.integers(1, round(t_end / dt))
+    noise = NoiseModel(gamma, n, convention)
+    cfg = EvolutionConfig(dt)
+    batch = np.stack([random_density(rng, n).matrix for _ in range(2)])
+    for t_from, t_to in ((0.0, t_end), (0.0, t_mid), (t_mid, t_end)):
+        fast = evolve_array(batch, segments, noise, cfg, t_from, t_to)
+        slow = dense_reference.evolve_array(batch, segments, noise, cfg,
+                                            t_from, t_to)
+        assert fast.shape == batch.shape
+        assert np.max(np.abs(fast - slow)) < 1e-12

@@ -4,8 +4,10 @@ import pytest
 from teleportsim.evolution import EvolutionConfig
 from teleportsim.metrics import (average_over_inputs, delta_E, fidelity,
                                  log_negativity, pairwise_total_negativity,
-                                 purity, total_negativity)
-from teleportsim.protocol import (EncodingKind, PAULI_EIGENSTATES,
+                                 projected_cut_negativities, purity,
+                                 total_negativity)
+from teleportsim.protocol import (EncodingKind, MEASUREMENT_PAIRS,
+                                  PAULI_EIGENSTATES, project_pair,
                                   run_protocol)
 from teleportsim.tensor_core import DensityMatrix
 
@@ -129,3 +131,17 @@ def test_each_pauli_pair_teleports_perfectly_noiseless():
         from teleportsim.tensor_core import partial_trace
         rho7 = partial_trace(traj.outcome.post_state, (7,))
         assert fidelity(rho7, phi) == pytest.approx(1, abs=1e-3)
+
+
+@pytest.mark.parametrize("pair", MEASUREMENT_PAIRS)
+@pytest.mark.parametrize("rank", [1, 3])
+def test_projected_cut_negativities_match_full_cuts(pair, rank):
+    rng = np.random.default_rng(rank * 10 + pair[0])
+    for log_base in (2, np.e):
+        a = rng.normal(size=(128, rank)) + 1j * rng.normal(size=(128, rank))
+        post, _ = project_pair(a @ a.conj().T, pair)
+        full = [log_negativity(DensityMatrix(post, 7), tuple(range(k + 1, 8)),
+                               log_base) for k in range(1, 7)]
+        fast = projected_cut_negativities(post, pair, log_base)
+        assert max(full) > 0.1
+        assert np.max(np.abs(np.subtract(fast, full))) < 1e-12

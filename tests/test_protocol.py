@@ -10,6 +10,7 @@ from teleportsim.protocol import (EncodingKind, InputState, MEASUREMENT_PAIRS,
 from teleportsim.tensor_core import DensityMatrix, partial_trace
 
 import oracle
+from dense_reference import embed
 
 CFG = EvolutionConfig(0.01)
 
@@ -57,8 +58,6 @@ def test_build_schedule_swap_has_two_pswaps_per_side():
 
 
 def test_build_schedule_alpha_zero_scrambling_is_identity():
-    from teleportsim.tensor_core import embed
-
     sched = build_schedule(EncodingKind.SCRAMBLING, 0.0)
     u = np.eye(128, dtype=complex)
     for seg in sorted(sched.segments, key=lambda s: s.start_time):

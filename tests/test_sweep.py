@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from teleportsim import cli
+from teleportsim import cli, sweep
 from teleportsim.protocol import EncodingKind
 from teleportsim.sweep import (ConfigError, GridSpec, SweepConfig,
                                emit_figure_data, grid_points, parse_config,
@@ -163,3 +163,97 @@ def test_cli_error_paths(tmp_path, capsys):
     bad.write_text("alpha_max = 2\n")
     assert cli.main(["--config", str(bad)]) == 2
     assert "ERROR config-invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_malformed_sim_threads_is_a_clear_error(tmp_path, monkeypatch, capsys,
+                                                value):
+    monkeypatch.setenv("SIM_THREADS", value)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(ConfigError, match="SIM_THREADS must be a positive integer"):
+        run_sweep(small_config(), str(out))
+    assert not out.exists()
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FAST)
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert "SIM_THREADS" in capsys.readouterr().err
+
+
+def test_pool_workers_run_one_blas_thread_unless_set(monkeypatch):
+    for var in sweep._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    with sweep._ordered_map(2) as ordered_map:
+        seen = list(ordered_map(os.getenv, sweep._BLAS_THREAD_VARS * 2))
+    assert seen == ["1", "1", "3"] * 2
+    # the parent's environment is restored once the pool is gone
+    assert [os.getenv(v) for v in sweep._BLAS_THREAD_VARS] == [None, None, "3"]
+
+
+def one_point_config(dt):
+    return parse_config(
+        f"dt = {dt}\nprotocols = swap\nalpha_min = 1\nalpha_count = 1\n"
+        "gamma_min = 0.02\ngamma_max = 0.02\ngamma_count = 1\n"
+    )
+
+
+def test_resume_recomputes_rows_of_other_settings(tmp_path, monkeypatch):
+    monkeypatch.setenv("SIM_THREADS", "1")
+    fresh = str(tmp_path / "fresh.csv")
+    run_sweep(one_point_config(0.25), fresh)
+    out = str(tmp_path / "sweep.csv")
+    run_sweep(one_point_config(0.5), out)
+    cfg = one_point_config(0.25)
+    cfg.resume = True
+    rows = run_sweep(cfg, out)
+    assert rows[0].split(",")[13] == "0.25"
+    assert open(out, "rb").read() == open(fresh, "rb").read()
+
+
+def test_resume_recomputes_error_rows_and_skips_a_cut_off_row(tmp_path,
+                                                               monkeypatch):
+    monkeypatch.setenv("SIM_THREADS", "1")
+    cfg = small_config()
+    full = str(tmp_path / "full.csv")
+    run_sweep(cfg, full)
+    full_bytes = open(full, "rb").read()
+    lines = full_bytes.decode().splitlines()
+    failed = lines[7].split(",")
+    failed[3:13] = [""] * 10
+    failed[-1] = "RuntimeError:boom"
+    resumed = str(tmp_path / "resumed.csv")
+    with open(resumed, "w") as fh:
+        # an error row, a good row, and a row cut off before its newline
+        fh.write("\n".join(lines[:7] + [",".join(failed), lines[8]]) + "\n")
+        fh.write(lines[9][:-1])
+    cfg.resume = True
+    computed = []
+    real = sweep._compute_row
+    monkeypatch.setattr(sweep, "_compute_row",
+                        lambda args: computed.append(args[0]) or real(args))
+    run_sweep(cfg, resumed)
+    assert open(resumed, "rb").read() == full_bytes
+    assert len(computed) == 3  # all but the complete error-free row
+
+
+def test_rows_are_appended_once_each(tmp_path, monkeypatch):
+    monkeypatch.setenv("SIM_THREADS", "1")
+    real = sweep._write_rows
+    for alpha_count in (1, 3):
+        calls, written = [], []
+
+        def counting(path, lines, mode="a"):
+            before = os.path.getsize(path) if mode == "a" else 0
+            real(path, lines, mode)
+            calls.append(path)
+            written.append(os.path.getsize(path) - before)
+
+        monkeypatch.setattr(sweep, "_write_rows", counting)
+        cfg = small_config(alpha_grid=GridSpec(0.0, 1.0, alpha_count))
+        out = str(tmp_path / f"sweep{alpha_count}.csv")
+        rows = run_sweep(cfg, out)
+        data = open(out).read()
+        # the same bytes as a single write of the header and all rows
+        assert data == "\n".join(sweep._header_lines(cfg) + rows) + "\n"
+        assert len(calls) == len(rows) + 1
+        assert sum(written) == len(data)
