@@ -2,8 +2,8 @@
 teleportation circuits."""
 
 from .evolution import EvolutionConfig, NoiseModel
-from .metrics import MetricsRecord, average_over_inputs
-from .protocol import EncodingKind, run_protocol
+from .metrics import MetricsRecord, average_over_inputs, run_protocol
+from .protocol import EncodingKind
 from .sweep import SweepConfig, parse_config, run_sweep
 
 __all__ = [

@@ -6,8 +6,8 @@ import argparse
 import os
 import sys
 
-from .sweep import (ConfigError, FIGURE_IDS, SweepConfig, emit_figure_data,
-                    parse_config, run_sweep)
+from .sweep import (ConfigError, FIGURE_IDS, check_figure_coverage,
+                    emit_figure_data, parse_config, run_sweep)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,6 +40,12 @@ def main(argv=None) -> int:
         return 2
     if args.resume:
         cfg.resume = True
+    if args.figure:
+        try:
+            check_figure_coverage(cfg, args.figure)
+        except ValueError as exc:
+            print(f"ERROR figure-data {exc}", file=sys.stderr)
+            return 1
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, os.path.basename(cfg.output_path))
     try:

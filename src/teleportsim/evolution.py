@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import GateSegment
-from .tensor_core import DensityMatrix, check_sites
+from .tensor_core import check_sites
 
 TIME_GRID_ATOL = 1e-9
 
@@ -76,13 +76,6 @@ class NoiseModel:
     def coherence_rate(self) -> float:
         """Decay rate r of single-qubit coherences, rho_01(t) ~ e^{-r t}."""
         return self.gamma * _RATE_FACTOR[self.rate_convention]
-
-    def jump_operator(self) -> np.ndarray:
-        """The single-qubit jump operator n = (1 + Z)/2 = diag(1, 0)."""
-        return np.diag([1.0, 0.0]).astype(complex)
-
-    def kraus_pair(self, dt: float) -> KrausPair:
-        return dephasing_kraus(self.coherence_rate, dt)
 
 
 @dataclass(frozen=True)
@@ -194,14 +187,3 @@ def evolve_array(rho: np.ndarray, segments, noise: NoiseModel,
             state = _dephase_idle(state, sorted(idle), decay ** nsteps, n)
     return state.reshape(rho.shape)
 
-
-def evolve(rho: DensityMatrix, schedule, noise: NoiseModel,
-           cfg: EvolutionConfig, t_from: float, t_to: float) -> DensityMatrix:
-    """Alternate unitary and dissipative bins from t_from to t_to.
-
-    `schedule` is anything with a `segments` attribute, or a plain list of
-    GateSegment. Segment boundaries must sit on the dt grid.
-    """
-    segments = getattr(schedule, "segments", schedule)
-    out = evolve_array(rho.matrix, segments, noise, cfg, t_from, t_to)
-    return DensityMatrix(out, rho.num_qubits)

@@ -1,8 +1,8 @@
-"""Gate matrices, their Hermitian generators, and the timed-schedule format.
+"""Hermitian gate generators and the timed-schedule format.
 
-All gates are defined by their exponential forms (including any global
-phases those produce); density-matrix evolution is insensitive to the
-phases. hbar = 1 and the gate time tau = 1 are the units throughout.
+All gates are defined by their exponential forms exp(-i H tau) (including
+any global phases those produce); density-matrix evolution is insensitive to
+the phases. hbar = 1 and the gate time tau = 1 are the units throughout.
 
 Schedule transcription files are plain text, one gate per line:
 
@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.linalg import expm, logm
+from scipy.linalg import expm
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -44,51 +43,23 @@ class ScheduleError(ValueError):
     """Malformed schedule transcription file."""
 
 
-def xx_gate(phi: float) -> np.ndarray:
-    """XX(phi) = exp[(i phi / 2) X (x) X]."""
-    xx = np.kron(X, X)
-    return np.cos(phi / 2) * np.eye(4, dtype=complex) + 1j * np.sin(phi / 2) * xx
-
-
-def rz_gate(phi: float) -> np.ndarray:
-    """R_Z(phi) = exp[(i phi / 2) Z] = diag(e^{i phi/2}, e^{-i phi/2})."""
-    return np.diag([np.exp(1j * phi / 2), np.exp(-1j * phi / 2)])
-
-
-def cnot_gate() -> np.ndarray:
-    """CNOT = exp[(i pi / 4) (1 - Z) (x) (1 - X)]; first site is the control."""
-    gen = np.kron(I2 - Z, I2 - X)
-    return expm(1j * np.pi / 4 * gen)
-
-
-def hadamard_gate() -> np.ndarray:
-    """HAD = exp[(i pi / (2 sqrt 2)) (X + Z)]; equals i * H_textbook."""
-    return expm(1j * np.pi / (2 * np.sqrt(2)) * (X + Z))
-
-
-def param_swap(alpha: float, sign: int) -> np.ndarray:
-    """Parametrized SWAP exp[sign * alpha * ln SWAP]; reaches SWAP at alpha=1."""
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return expm(sign * alpha * (1j * np.pi / 2) * LN_SWAP_CORE)
-
-
 def xx_generator(phi: float, tau: float = 1.0) -> np.ndarray:
-    """Hermitian H with exp(-i H tau) = xx_gate(phi)."""
+    """Hermitian H with exp(-i H tau) = XX(phi) = exp[(i phi / 2) X (x) X]."""
     return -(phi / (2 * tau)) * np.kron(X, X)
 
 
 def rz_generator(phi: float, tau: float = 1.0) -> np.ndarray:
+    """Generator of R_Z(phi) = exp[(i phi / 2) Z] over time tau."""
     return -(phi / (2 * tau)) * Z
 
 
 def cnot_generator(tau: float = 1.0, scale: float = 1.0) -> np.ndarray:
+    """Generator of CNOT = exp[(i pi / 4) (1 - Z) (x) (1 - X)]; control first."""
     return -(scale * np.pi / (4 * tau)) * np.kron(I2 - Z, I2 - X)
 
 
 def hadamard_generator(tau: float = 1.0, scale: float = 1.0) -> np.ndarray:
+    """Generator of HAD = exp[(i pi / (2 sqrt 2)) (X + Z)] = i * H_textbook."""
     return -(scale * np.pi / (2 * np.sqrt(2) * tau)) * (X + Z)
 
 
@@ -108,7 +79,6 @@ class GateSegment:
     sites: tuple[int, ...]
     start_time: float
     duration: float
-    _step_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.generator = np.asarray(self.generator, dtype=complex)
@@ -128,36 +98,12 @@ class GateSegment:
     def end_time(self) -> float:
         return self.start_time + self.duration
 
-    def unitary(self) -> np.ndarray:
-        """The full gate exp(-i * generator * duration)."""
-        return expm(-1j * self.generator * self.duration)
-
     def step_unitary(self, dt: float) -> np.ndarray:
-        """exp(-i * generator * dt), cached per dt."""
-        u = self._step_cache.get(dt)
-        if u is None:
-            u = expm(-1j * self.generator * dt)
-            self._step_cache[dt] = u
-        return u
+        """exp(-i * generator * dt)."""
+        return expm(-1j * self.generator * dt)
 
     def active_at(self, t: float, eps: float = 1e-9) -> bool:
         return self.start_time - eps <= t < self.end_time - eps
-
-
-def segmentize(gate: np.ndarray, sites, start: float, tau: float) -> GateSegment:
-    """Build the segment whose generator integrates to the given unitary.
-
-    Uses the principal matrix logarithm: H = (i / tau) log(gate).
-    """
-    gate = np.asarray(gate, dtype=complex)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    dev = np.max(np.abs(gate @ gate.conj().T - np.eye(gate.shape[0])))
-    if dev > 1e-10:
-        raise ValueError(f"gate is not unitary (deviation {dev:.3e})")
-    gen = (1j / tau) * logm(gate)
-    gen = (gen + gen.conj().T) / 2  # strip the logm rounding skew
-    return GateSegment(gen, tuple(sites), start, tau)
 
 
 _PARAM_RE = re.compile(r"^[0-9a-z+\-*/(). ]+$")
@@ -256,19 +202,3 @@ def entry_segment(entry: ScheduleEntry, alpha: float) -> GateSegment:
     else:
         gen = param_swap_generator(p, tau)
     return GateSegment(gen, entry.sites, entry.start, tau)
-
-
-def swap_unitary(alpha: float) -> tuple[list[GateSegment], list[GateSegment]]:
-    """Encoder and decoder segment sequences of the SWAP-based circuit."""
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    parsed = load_schedule("swap")
-    enc, dec = [], []
-    for e in parsed.entries:
-        if e.name != "PSWAP":
-            continue
-        seg = entry_segment(e, alpha)
-        (enc if set(e.sites) <= {1, 2, 3} else dec).append(seg)
-    enc.sort(key=lambda s: s.start_time)
-    dec.sort(key=lambda s: s.start_time)
-    return enc, dec

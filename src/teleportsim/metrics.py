@@ -1,6 +1,7 @@
-"""Observables: teleportation fidelity, purity, logarithmic negativity
-(single-cut and summed over all contiguous cuts), entanglement deltas,
-and averaging over the six Pauli-eigenstate inputs.
+"""The protocol pipeline and its observables: the six Pauli-eigenstate
+inputs evolved as one batch, teleportation fidelity, purity, logarithmic
+negativity (single-cut and summed over all contiguous cuts), entanglement
+deltas, and their averages over the inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 from . import protocol
 from .evolution import EvolutionConfig, NoiseModel, evolve_array
 from .protocol import (EncodingKind, InputState, PAULI_EIGENSTATES,
-                       PostselectionImpossibleError, Trajectory)
+                       PostselectionImpossibleError)
 from .tensor_core import (DensityMatrix, hermitian_eigenvalues,
                           partial_trace, partial_transpose)
 
@@ -61,17 +62,6 @@ def total_negativity(rho: DensityMatrix, log_base: float = 2) -> float:
     )
 
 
-def pairwise_total_negativity(rho: DensityMatrix, log_base: float = 2) -> float:
-    """Alternative accounting: negativities of neighboring two-qubit
-    reduced states, summed over the n-1 neighbor pairs."""
-    n = rho.num_qubits
-    total = 0.0
-    for k in range(1, n):
-        red = partial_trace(rho, (k, k + 1))
-        total += log_negativity(red, (2,), log_base)
-    return total
-
-
 def projected_cut_negativities(post: np.ndarray, pair: tuple[int, int],
                                log_base: float = 2) -> list[float]:
     """Log negativities of the cuts (1..k | k+1..n), k = 1..n-1, of a state
@@ -97,20 +87,23 @@ def projected_cut_negativities(post: np.ndarray, pair: tuple[int, int],
     return out
 
 
-def delta_E(traj: Trajectory, which: str, log_base: float = 2) -> float:
-    """Change of the summed cut negativity across a protocol phase.
-
-    which='U': between the t1 and t2 checkpoints (the encode/decode
-    unitaries). which='M': between t2 and the renormalized post-projection
-    state (the Bell measurement).
-    """
-    if which == "U":
-        return (total_negativity(traj.rho_t2, log_base)
-                - total_negativity(traj.rho_t1, log_base))
-    if which == "M":
-        return (total_negativity(traj.outcome.post_state, log_base)
-                - total_negativity(traj.rho_t2, log_base))
-    raise ValueError(f"which must be 'U' or 'M', got {which!r}")
+def run_protocol(kind: EncodingKind, alpha: float, gamma: float,
+                 cfg: EvolutionConfig | None = None,
+                 rate_convention: str = "kraus",
+                 measurement_pair: tuple[int, int] = (3, 4)
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evolve the six PAULI_EIGENSTATES inputs through the protocol as one
+    batch; deterministic. Returns the states at t1, t2 and t3 (before the
+    heralding projection), each of shape (6, 128, 128) in input order."""
+    cfg = cfg or EvolutionConfig()
+    sched = protocol.build_schedule(kind, alpha, measurement_pair)
+    noise = NoiseModel(gamma, protocol.NUM_QUBITS, rate_convention)
+    batch = np.stack([protocol.initial_state(phi).matrix
+                      for phi in PAULI_EIGENSTATES])
+    rho1 = evolve_array(batch, sched.segments, noise, cfg, 0.0, sched.t1)
+    rho2 = evolve_array(rho1, sched.segments, noise, cfg, sched.t1, sched.t2)
+    rho3 = evolve_array(rho2, sched.segments, noise, cfg, sched.t2, sched.t3)
+    return rho1, rho2, rho3
 
 
 @dataclass
@@ -140,21 +133,13 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
                         measurement_pair: tuple[int, int] = (3, 4)) -> MetricsRecord:
     """Run all six Pauli-eigenstate inputs and average each observable.
 
-    The six inputs are evolved as one batched array; inputs whose heralded
-    outcome is impossible are excluded from the averages and listed in
-    failed_inputs.
+    Inputs whose heralded outcome is impossible are excluded from the
+    averages and listed in failed_inputs.
     """
-    cfg = cfg or EvolutionConfig()
-    sched = protocol.build_schedule(kind, alpha, measurement_pair)
-    noise = NoiseModel(gamma, protocol.NUM_QUBITS, rate_convention)
-    batch = np.stack([protocol.initial_state(phi).matrix
-                      for phi in PAULI_EIGENSTATES])
-    rho1 = evolve_array(batch, sched.segments, noise, cfg, 0.0, sched.t1)
-    rho2 = evolve_array(rho1, sched.segments, noise, cfg, sched.t1, sched.t2)
-    rho3 = evolve_array(rho2, sched.segments, noise, cfg, sched.t2, sched.t3)
-
-    pair = sched.measurement_pair
-    fids, purs, negs, probs, dus, dms = [], [], [], [], [], []
+    rho1, rho2, rho3 = run_protocol(kind, alpha, gamma, cfg, rate_convention,
+                                    measurement_pair)
+    pair = tuple(measurement_pair)
+    fids, purs, negs, probs, dus = [], [], [], [], []
     post_sum = np.zeros_like(rho3[0])
     failed = []
     for i, phi in enumerate(PAULI_EIGENSTATES):

@@ -1,5 +1,5 @@
-"""Full 7-qubit teleportation schedules, initial states, and the heralded
-Bell measurement.
+"""Full 7-qubit teleportation schedules, initial states, and the heralding
+projection.
 
 Protocol phases: Bell-pair creation on qubit pairs (2,5), (3,4), (6,7)
 during [0, t1]; encoding on qubits 1-3 with the conjugate decoding on
@@ -10,13 +10,12 @@ heralds the Bell state (|00> + |11>)/sqrt(2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import gates
-from .evolution import EvolutionConfig, NoiseModel, evolve_array
 from .tensor_core import DensityMatrix
 
 NUM_QUBITS = 7
@@ -59,14 +58,6 @@ PAULI_EIGENSTATES = (
     InputState("Z+", np.array([1.0, 0.0])),
     InputState("Z-", np.array([0.0, 1.0])),
 )
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """Renormalized post-projection state and the heralding probability."""
-
-    post_state: DensityMatrix
-    success_probability: float
 
 
 @dataclass
@@ -159,46 +150,3 @@ def project_pair(matrix: np.ndarray, pair: tuple[int, int]) -> tuple[np.ndarray,
     block = np.ix_(keep, keep)
     post[block] = matrix[block] / prob
     return post, prob
-
-
-def bell_measurement(rho: DensityMatrix,
-                     pair: tuple[int, int] = (3, 4)) -> MeasurementOutcome:
-    """Heralded projection of the (already rotated) pair onto |00>."""
-    post, prob = project_pair(rho.matrix, tuple(pair))
-    return MeasurementOutcome(DensityMatrix(post, rho.num_qubits), prob)
-
-
-@dataclass
-class Trajectory:
-    """Checkpoint states of one protocol run."""
-
-    schedule: ProtocolSchedule
-    rho_t1: DensityMatrix
-    rho_t2: DensityMatrix
-    rho_t3_pre: DensityMatrix
-    outcome: MeasurementOutcome
-    input_state: InputState
-
-
-def run_protocol(kind: EncodingKind, alpha: float, gamma: float,
-                 phi: InputState, cfg: EvolutionConfig | None = None,
-                 rate_convention: str = "kraus",
-                 measurement_pair: tuple[int, int] = (3, 4)) -> Trajectory:
-    """Evolve one input state through the full protocol; deterministic."""
-    cfg = cfg or EvolutionConfig()
-    sched = build_schedule(kind, alpha, measurement_pair)
-    noise = NoiseModel(gamma, NUM_QUBITS, rate_convention)
-    rho = initial_state(phi).matrix
-    rho1 = evolve_array(rho, sched.segments, noise, cfg, 0.0, sched.t1)
-    rho2 = evolve_array(rho1, sched.segments, noise, cfg, sched.t1, sched.t2)
-    rho3 = evolve_array(rho2, sched.segments, noise, cfg, sched.t2, sched.t3)
-    outcome = bell_measurement(DensityMatrix(rho3, NUM_QUBITS),
-                               sched.measurement_pair)
-    return Trajectory(
-        sched,
-        DensityMatrix(rho1, NUM_QUBITS),
-        DensityMatrix(rho2, NUM_QUBITS),
-        DensityMatrix(rho3, NUM_QUBITS),
-        outcome,
-        phi,
-    )

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gates
 from .evolution import EvolutionConfig
 from .metrics import MetricsRecord, average_over_inputs
 from .protocol import EncodingKind
@@ -117,6 +118,15 @@ def parse_config(text: str) -> SweepConfig:
     cfg.dt = take("dt", float, cfg.dt)
     if cfg.dt <= 0:
         raise ConfigError("dt must be positive")
+    step = EvolutionConfig(cfg.dt)
+    for kind in cfg.protocols:
+        parsed = gates.load_schedule(kind.value)
+        times = [parsed.t1, parsed.t2, parsed.t3]
+        times += [t for e in parsed.entries for t in (e.start, e.start + e.duration)]
+        off = [t for t in times if not step.on_grid(t)]
+        if off:
+            raise ConfigError(f"dt={cfg.dt} does not fit the {kind.value} "
+                              f"schedule: time {off[0]} is off the step grid")
 
     def parse_base(value):
         if value.strip().lower() == "e":
@@ -347,13 +357,12 @@ _CUT_GAMMAS = (0.0, 0.038, 0.06)
 _CUT_ALPHAS = (0.0, 0.5, 1.0)
 
 
-def emit_figure_data(rows: list[str], figure_id: str, out_dir: str,
-                     cfg: SweepConfig) -> list[str]:
-    """Write plot-ready panel files for one figure; returns the file paths."""
+def figure_panels(rows: list[str], figure_id: str) -> list[tuple[str, list[str]]]:
+    """(file name, lines) of each panel of one figure; raises ValueError if
+    the rows miss a grid cut the figure plots."""
     if figure_id not in FIGURE_IDS:
         raise ValueError(f"figure must be one of {FIGURE_IDS}")
     records = _load_records(rows)
-    os.makedirs(out_dir, exist_ok=True)
     panels: list[tuple[str, list[str]]] = []
     if figure_id in ("fig2", "fig3"):
         protocol = "scrambling" if figure_id == "fig2" else "swap"
@@ -378,6 +387,19 @@ def emit_figure_data(rows: list[str], figure_id: str, out_dir: str,
                     _panel_table(records, protocol, metric, "alpha",
                                  _CUT_ALPHAS),
                 ))
+    return panels
+
+
+def check_figure_coverage(cfg: SweepConfig, figure_id: str) -> None:
+    """Raise ValueError if the grid of cfg misses a cut the figure plots."""
+    figure_panels([_format_row(None, p, cfg) for p in grid_points(cfg)], figure_id)
+
+
+def emit_figure_data(rows: list[str], figure_id: str, out_dir: str,
+                     cfg: SweepConfig) -> list[str]:
+    """Write plot-ready panel files for one figure; returns the file paths."""
+    panels = figure_panels(rows, figure_id)
+    os.makedirs(out_dir, exist_ok=True)
     paths = []
     for name, lines in panels:
         path = os.path.join(out_dir, name)

@@ -82,11 +82,6 @@ class DensityMatrix:
             raise ValueError(f"not PSD: min eigenvalue {lo:.3e}")
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out all qubits not in `keep`."""
     n = rho.num_qubits

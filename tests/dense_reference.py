@@ -12,6 +12,7 @@ the encoder from the packaged schedule lines the same way.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import expm
 
 from teleportsim.evolution import (EvolutionConfig, NoiseModel, _check_disjoint,
                                    _slot_edges)
@@ -54,7 +55,7 @@ def compose_window(parsed: ParsedSchedule, alpha: float, sites_subset,
     for e in window:
         seg = entry_segment(e, alpha)
         local = tuple(site_map[s] for s in seg.sites)
-        u = embed(seg.unitary(), local, 3) @ u
+        u = embed(expm(-1j * seg.generator * seg.duration), local, 3) @ u
     return u
 
 

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from teleportsim.evolution import EvolutionConfig, NoiseModel, dephasing_kraus
+from teleportsim.metrics import run_protocol
 from teleportsim.protocol import (EncodingKind, MEASUREMENT_PAIRS,
-                                  PAULI_EIGENSTATES, run_protocol)
+                                  PAULI_EIGENSTATES, project_pair)
 from teleportsim.tensor_core import DensityMatrix, partial_transpose
 
 from conftest import acceptance, record
@@ -127,11 +128,10 @@ def test_criterion_10_property_suite():
     checks = []
 
     # CPTP at all checkpoints of a noisy run
-    traj = run_protocol(SCR, 0.8, 0.03, PAULI_EIGENSTATES[0],
-                        EvolutionConfig(0.01))
+    states = [r[0] for r in run_protocol(SCR, 0.8, 0.03, EvolutionConfig(0.01))]
+    states.append(project_pair(states[2], (3, 4))[0])
     cptp = True
-    for rho in (traj.rho_t1, traj.rho_t2, traj.rho_t3_pre,
-                traj.outcome.post_state):
+    for rho in (DensityMatrix(m, 7) for m in states):
         cptp &= abs(rho.trace() - 1) < 1e-12
         cptp &= float(np.linalg.eigvalsh(rho.matrix)[0]) >= -1e-8
     checks.append(("cptp", cptp))
@@ -168,10 +168,9 @@ def test_criterion_10_property_suite():
     # state-vector oracle equivalence at gamma = 0
     equiv = True
     for kind in EncodingKind:
-        traj = run_protocol(kind, 0.7, 0.0, PAULI_EIGENSTATES[2],
-                            EvolutionConfig(0.01))
+        rho3 = run_protocol(kind, 0.7, 0.0, EvolutionConfig(0.01))[2][2]
         ref = oracle.run(kind.value, 0.7, PAULI_EIGENSTATES[2].vector)
-        dist = np.linalg.norm(traj.rho_t3_pre.matrix
+        dist = np.linalg.norm(rho3
                               - np.outer(ref["t3"], ref["t3"].conj()))
         equiv &= dist <= 1e-6
     checks.append(("oracle-equivalence", equiv))

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from teleportsim import gates
-from teleportsim.gates import (GateSegment, ScheduleError, cnot_gate,
-                               entry_segment, eval_param, hadamard_gate,
-                               load_schedule, param_swap, parse_schedule_text,
-                               rz_gate, segmentize, swap_unitary, xx_gate)
+from teleportsim.gates import (GateSegment, ScheduleEntry, ScheduleError,
+                               entry_segment, eval_param, load_schedule,
+                               parse_schedule_text)
+from teleportsim.protocol import EncodingKind, build_schedule
 
 import oracle
 from dense_reference import compose_window, embed, scrambling_unitary
@@ -25,11 +26,24 @@ def global_phase_equal(a, b, atol=1e-10):
     return np.max(np.abs(a - phase * b)) < atol
 
 
+def xx_gate(phi):
+    return expm(-1j * gates.xx_generator(phi))
+
+
+def rz_gate(phi):
+    return expm(-1j * gates.rz_generator(phi))
+
+
+def param_swap(alpha, sign):
+    return expm(-1j * gates.param_swap_generator(sign * alpha, 4.0) * 4.0)
+
+
 def test_xx_gate_basics():
     assert np.allclose(xx_gate(0), np.eye(4))
     out = xx_gate(np.pi / 2) @ np.array([1, 0, 0, 0], dtype=complex)
     assert np.allclose(out, np.array([1, 0, 0, 1j]) / np.sqrt(2))
     assert np.allclose(xx_gate(0.7) @ xx_gate(-0.7), np.eye(4), atol=1e-14)
+    assert np.max(np.abs(xx_gate(0.7) - oracle.xx(0.7))) < 1e-12
 
 
 def test_rz_gate_values():
@@ -37,10 +51,11 @@ def test_rz_gate_values():
     assert np.allclose(rz_gate(np.pi / 2),
                        np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)]))
     assert np.allclose(rz_gate(2 * np.pi), -np.eye(2))
+    assert np.max(np.abs(rz_gate(0.7) - oracle.rz(0.7))) < 1e-12
 
 
 def test_cnot_gate_action():
-    u = cnot_gate()
+    u = expm(-1j * gates.cnot_generator())
     assert_unitary(u)
     assert global_phase_equal(u, oracle.cnot())
     v10 = np.array([0, 0, 1, 0], dtype=complex)
@@ -51,7 +66,8 @@ def test_cnot_gate_action():
 
 
 def test_hadamard_gate_action():
-    u = hadamard_gate()
+    u = expm(-1j * gates.hadamard_generator())
+    assert np.max(np.abs(u - oracle.had())) < 1e-12
     assert global_phase_equal(u @ u, np.eye(2))
     out = u @ np.array([1, 0], dtype=complex)
     assert np.allclose(np.abs(out), [1 / np.sqrt(2)] * 2)
@@ -70,9 +86,9 @@ def test_param_swap_endpoints():
 
 def test_param_swap_range_checks():
     with pytest.raises(ValueError):
-        param_swap(1.5, 1)
+        build_schedule(EncodingKind.SWAP, 1.5)
     with pytest.raises(ValueError):
-        param_swap(0.5, 2)
+        build_schedule(EncodingKind.SWAP, -0.5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -84,13 +100,12 @@ def test_param_swap_unitary_and_matches_oracle(alpha, sign):
 
 
 def test_generators_reproduce_gates():
-    from scipy.linalg import expm
     checks = [
-        (gates.xx_generator(-np.pi / 2), xx_gate(-np.pi / 2), 1.0),
-        (gates.rz_generator(np.pi / 2), rz_gate(np.pi / 2), 1.0),
-        (gates.cnot_generator(), cnot_gate(), 1.0),
-        (gates.hadamard_generator(), hadamard_gate(), 1.0),
-        (gates.param_swap_generator(0.6, 4.0), param_swap(0.6, 1), 4.0),
+        (gates.xx_generator(-np.pi / 2), oracle.xx(-np.pi / 2), 1.0),
+        (gates.rz_generator(np.pi / 2), oracle.rz(np.pi / 2), 1.0),
+        (gates.cnot_generator(), oracle.cnot(), 1.0),
+        (gates.hadamard_generator(), oracle.had(), 1.0),
+        (gates.param_swap_generator(0.6, 4.0), oracle.pswap(0.6), 4.0),
     ]
     for gen, gate, tau in checks:
         assert np.max(np.abs(expm(-1j * gen * tau) - gate)) < 1e-12
@@ -101,22 +116,25 @@ def test_rz_generator_quarter_turn_value():
 
 
 def test_segmentize_roundtrip_all_gates():
-    for gate, sites in [
-        (xx_gate(0.3), (1, 2)),
-        (rz_gate(np.pi / 2), (1,)),
-        (cnot_gate(), (3, 4)),
-        (hadamard_gate(), (3,)),
-        (param_swap(0.8, -1), (5, 4)),
+    """A schedule line of each gate integrates to the closed-form gate."""
+    for entry, gate in [
+        (ScheduleEntry("XX", (1, 2), 2.0, 1.0, "0.3"), oracle.xx(0.3)),
+        (ScheduleEntry("RZ", (1,), 0.0, 1.0, "pi/2"), oracle.rz(np.pi / 2)),
+        (ScheduleEntry("CNOT", (3, 4), 10.0, 1.0, "1"), oracle.cnot()),
+        (ScheduleEntry("HAD", (3,), 11.0, 1.0, "1"), oracle.had()),
+        (ScheduleEntry("PSWAP", (5, 4), 6.0, 4.0, "-alpha"), oracle.pswap(-0.8)),
     ]:
-        seg = segmentize(gate, sites, 0.0, 1.0)
-        assert np.max(np.abs(seg.unitary() - gate)) < 1e-12
+        seg = entry_segment(entry, 0.8)
+        u = expm(-1j * seg.generator * seg.duration)
+        assert np.max(np.abs(u - gate)) < 1e-12
 
 
 def test_segmentize_rejects_non_unitary():
+    # i log(diag(1, 2)), the generator of a gate that is not unitary
     with pytest.raises(ValueError):
-        segmentize(np.diag([1.0, 2.0]), (1,), 0.0, 1.0)
+        GateSegment(np.diag([0, 1j * np.log(2)]), (1,), 0.0, 1.0)
     with pytest.raises(ValueError):
-        segmentize(np.eye(2), (1,), 0.0, 0.0)
+        GateSegment(np.eye(2), (1,), 0.0, 0.0)
 
 
 def test_gate_segment_validation():
@@ -131,11 +149,11 @@ def test_gate_segment_validation():
 
 
 def test_step_unitary_composes_to_full_gate():
-    seg = segmentize(rz_gate(np.pi / 2), (1,), 0.0, 1.0)
+    seg = GateSegment(gates.rz_generator(np.pi / 2), (1,), 0.0, 1.0)
     u = np.eye(2, dtype=complex)
     for _ in range(100):
         u = seg.step_unitary(0.01) @ u
-    assert np.max(np.abs(u - rz_gate(np.pi / 2))) < 1e-10
+    assert np.max(np.abs(u - oracle.rz(np.pi / 2))) < 1e-10
 
 
 def test_eval_param():
@@ -205,6 +223,20 @@ def test_scrambling_decoder_lines_match_conjugate():
     assert np.max(np.abs(dec - uc)) < 1e-12
 
 
+def swap_window(alpha):
+    """(segment, gate) pairs of the SWAP circuit's encode window, encoder
+    side (qubits 1-3) and decoder side, each in time order."""
+    sched = build_schedule(EncodingKind.SWAP, alpha)
+    window = sorted((s for s in sched.segments
+                     if sched.t1 <= s.start_time < sched.t2),
+                    key=lambda s: s.start_time)
+    enc, dec = [], []
+    for s in window:
+        u = expm(-1j * s.generator * s.duration)
+        (enc if set(s.sites) <= {1, 2, 3} else dec).append((s, u))
+    return enc, dec
+
+
 def test_encoder_continuity_in_alpha():
     eps = 1e-6
     for alpha in (0.0, 0.3, 0.9):
@@ -212,34 +244,34 @@ def test_encoder_continuity_in_alpha():
         u2, _ = scrambling_unitary(alpha + eps)
         assert np.max(np.abs(u2 - u1)) < 1e-4
     for alpha in (0.0, 0.3, 0.9):
-        enc1, _ = swap_unitary(alpha)
-        enc2, _ = swap_unitary(alpha + eps)
-        for s1, s2 in zip(enc1, enc2):
-            assert np.max(np.abs(s2.unitary() - s1.unitary())) < 1e-4
+        enc1, _ = swap_window(alpha)
+        enc2, _ = swap_window(alpha + eps)
+        for (_, u1), (_, u2) in zip(enc1, enc2):
+            assert np.max(np.abs(u2 - u1)) < 1e-4
 
 
 def test_swap_unitary_structure():
-    enc, dec = swap_unitary(0.7)
+    enc, dec = swap_window(0.7)
     assert len(enc) == 2 and len(dec) == 2
-    assert [s.sites for s in enc] == [(1, 2), (2, 3)]
-    assert [s.sites for s in dec] == [(6, 5), (5, 4)]
-    assert all(s.duration == 4 for s in enc + dec)
+    assert [s.sites for s, _ in enc] == [(1, 2), (2, 3)]
+    assert [s.sites for s, _ in dec] == [(6, 5), (5, 4)]
+    assert all(s.duration == 4 for s, _ in enc + dec)
     # decoder is the conjugate: negated exponent
-    for e, d in zip(enc, dec):
-        assert np.max(np.abs(d.unitary() - e.unitary().conj())) < 1e-12
+    for (_, e), (_, d) in zip(enc, dec):
+        assert np.max(np.abs(d - e.conj())) < 1e-12
 
 
 def test_swap_unitary_identity_at_zero():
-    enc, dec = swap_unitary(0.0)
-    for s in enc + dec:
-        assert np.allclose(s.unitary(), np.eye(4), atol=1e-12)
+    enc, dec = swap_window(0.0)
+    for _, u in enc + dec:
+        assert np.allclose(u, np.eye(4), atol=1e-12)
 
 
 def test_swap_encoder_routes_qubit_1_to_3():
-    enc, _ = swap_unitary(1.0)
+    enc, _ = swap_window(1.0)
     u = np.eye(8, dtype=complex)
-    for s in enc:
-        u = embed(s.unitary(), s.sites, 3) @ u
+    for s, g in enc:
+        u = embed(g, s.sites, 3) @ u
     for src in range(8):
         v = np.zeros(8, dtype=complex)
         v[src] = 1
@@ -254,7 +286,7 @@ def test_alpha_range_checks():
     with pytest.raises(ValueError):
         scrambling_unitary(1.2)
     with pytest.raises(ValueError):
-        swap_unitary(-0.1)
+        build_schedule(EncodingKind.SWAP, -0.1)
 
 
 def test_entry_segment_all_kinds():

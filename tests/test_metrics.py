@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from teleportsim.evolution import EvolutionConfig
-from teleportsim.metrics import (average_over_inputs, delta_E, fidelity,
-                                 log_negativity, pairwise_total_negativity,
-                                 projected_cut_negativities, purity,
-                                 total_negativity)
+from teleportsim.metrics import (average_over_inputs, fidelity,
+                                 log_negativity, projected_cut_negativities,
+                                 purity, run_protocol, total_negativity)
 from teleportsim.protocol import (EncodingKind, MEASUREMENT_PAIRS,
-                                  PAULI_EIGENSTATES, project_pair,
-                                  run_protocol)
-from teleportsim.tensor_core import DensityMatrix
+                                  PAULI_EIGENSTATES, project_pair)
+from teleportsim.tensor_core import DensityMatrix, partial_trace
 
 import oracle
 
@@ -86,17 +84,21 @@ def test_delta_E_values_at_alpha_extremes(record):
 
 
 def test_delta_E_trajectory_api():
-    traj = run_protocol(EncodingKind.SWAP, 1.0, 0.0, PAULI_EIGENSTATES[0], CFG)
-    assert delta_E(traj, "U") == pytest.approx(6, abs=2e-2)
-    with pytest.raises(ValueError):
-        delta_E(traj, "X")
+    """Delta E_U of the X+ input alone, from its t1 and t2 states."""
+    rho1, rho2, _ = run_protocol(EncodingKind.SWAP, 1.0, 0.0, CFG)
+    delta_u = (total_negativity(DensityMatrix(rho2[0], 7))
+               - total_negativity(DensityMatrix(rho1[0], 7)))
+    assert delta_u == pytest.approx(6, abs=2e-2)
 
 
 def test_pairwise_total_negativity_differs_from_cut_sum():
     ref = oracle.run("swap", 0.0, np.array([1, 0], dtype=complex))
     rho = DensityMatrix.from_pure(ref["t1"])
     # neighbor-pair reduced states: only (3,4) and (6,7) are entangled pairs
-    assert pairwise_total_negativity(rho) == pytest.approx(2, abs=1e-10)
+    pairwise = sum(log_negativity(partial_trace(rho, (k, k + 1)), (2,))
+                   for k in range(1, 7))
+    assert pairwise == pytest.approx(2, abs=1e-10)
+    assert total_negativity(rho) == pytest.approx(5, abs=1e-10)
 
 
 def test_average_over_inputs_basic_points(record):
@@ -126,10 +128,10 @@ def test_fidelity_monotone_in_alpha_noiseless(record):
 
 
 def test_each_pauli_pair_teleports_perfectly_noiseless():
-    for phi in PAULI_EIGENSTATES:
-        traj = run_protocol(EncodingKind.SCRAMBLING, 1.0, 0.0, phi, CFG)
-        from teleportsim.tensor_core import partial_trace
-        rho7 = partial_trace(traj.outcome.post_state, (7,))
+    rho3 = run_protocol(EncodingKind.SCRAMBLING, 1.0, 0.0, CFG)[2]
+    for phi, rho in zip(PAULI_EIGENSTATES, rho3):
+        post, _ = project_pair(rho, (3, 4))
+        rho7 = partial_trace(DensityMatrix(post, 7), (7,))
         assert fidelity(rho7, phi) == pytest.approx(1, abs=1e-3)
 
 
@@ -145,3 +147,18 @@ def test_projected_cut_negativities_match_full_cuts(pair, rank):
         fast = projected_cut_negativities(post, pair, log_base)
         assert max(full) > 0.1
         assert np.max(np.abs(np.subtract(fast, full))) < 1e-12
+
+
+@pytest.mark.parametrize("kind", list(EncodingKind))
+def test_average_over_inputs_reduces_run_protocol(kind):
+    """The averages come from run_protocol's batches, bit for bit."""
+    cfg = EvolutionConfig(0.04)
+    pair = (2, 5)
+    rec = average_over_inputs(kind, 0.6, 0.03, cfg, measurement_pair=pair)
+    rho1, rho2, rho3 = run_protocol(kind, 0.6, 0.03, cfg, measurement_pair=pair)
+    assert rec.failed_inputs == []
+    for got, batch in ((rec.neg_total_t1, rho1), (rec.neg_total_t2, rho2)):
+        assert got == float(np.mean([total_negativity(DensityMatrix(r, 7))
+                                     for r in batch]))
+    assert rec.success_prob_avg == float(
+        np.mean([project_pair(r, pair)[1] for r in rho3]))

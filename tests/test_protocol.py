@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from teleportsim.evolution import EvolutionConfig
+from teleportsim.gates import GateSegment, rz_generator
+from teleportsim.metrics import run_protocol
 from teleportsim.protocol import (EncodingKind, InputState, MEASUREMENT_PAIRS,
                                   PAULI_EIGENSTATES,
                                   PostselectionImpossibleError,
-                                  ProtocolSchedule, bell_measurement,
-                                  build_schedule, initial_state, run_protocol)
+                                  ProtocolSchedule, build_schedule,
+                                  initial_state, project_pair)
 from teleportsim.tensor_core import DensityMatrix, partial_trace
 
 import oracle
@@ -62,7 +65,7 @@ def test_build_schedule_alpha_zero_scrambling_is_identity():
     u = np.eye(128, dtype=complex)
     for seg in sorted(sched.segments, key=lambda s: s.start_time):
         if 2 - 1e-9 <= seg.start_time < 10 - 1e-9:
-            u = embed(seg.unitary(), seg.sites, 7) @ u
+            u = embed(expm(-1j * seg.generator * seg.duration), seg.sites, 7) @ u
     phase = u[0, 0]
     assert abs(abs(phase) - 1) < 1e-10
     assert np.max(np.abs(u - phase * np.eye(128))) < 1e-10
@@ -76,14 +79,12 @@ def test_build_schedule_rejects_bad_args():
 
 
 def test_schedule_overlap_detection():
-    from teleportsim.gates import segmentize, rz_gate
-
-    a = segmentize(rz_gate(0.3), (1,), 0.0, 2.0)
-    b = segmentize(rz_gate(0.3), (1,), 1.0, 2.0)
+    a = GateSegment(rz_generator(0.3, 2.0), (1,), 0.0, 2.0)
+    b = GateSegment(rz_generator(0.3, 2.0), (1,), 1.0, 2.0)
     with pytest.raises(ValueError):
         ProtocolSchedule(EncodingKind.SWAP, 0.5, [a, b], 1.0, 2.0, 3.0)
     # same window, different qubits: fine
-    c = segmentize(rz_gate(0.3), (2,), 0.0, 2.0)
+    c = GateSegment(rz_generator(0.3, 2.0), (2,), 0.0, 2.0)
     ProtocolSchedule(EncodingKind.SWAP, 0.5, [a, c], 1.0, 2.0, 3.0)
 
 
@@ -104,9 +105,9 @@ def test_bell_measurement_on_prepared_bell_pair():
     psi = t.reshape(-1)
     psi = oracle.apply_gate(psi, oracle.cnot(), (3, 4))
     psi = oracle.apply_gate(psi, oracle.had(), (3,))
-    out = bell_measurement(DensityMatrix.from_pure(psi))
-    assert out.success_probability == pytest.approx(1, abs=1e-12)
-    assert out.post_state.trace() == pytest.approx(1, abs=1e-12)
+    post, prob = project_pair(DensityMatrix.from_pure(psi).matrix, (3, 4))
+    assert prob == pytest.approx(1, abs=1e-12)
+    assert np.trace(post) == pytest.approx(1, abs=1e-12)
 
 
 def test_bell_measurement_impossible_outcome():
@@ -118,45 +119,44 @@ def test_bell_measurement_impossible_outcome():
     psi = oracle.apply_gate(psi, oracle.cnot(), (3, 4))
     psi = oracle.apply_gate(psi, oracle.had(), (3,))
     with pytest.raises(PostselectionImpossibleError):
-        bell_measurement(DensityMatrix.from_pure(psi))
+        project_pair(DensityMatrix.from_pure(psi).matrix, (3, 4))
 
 
 def test_run_protocol_checkpoints_valid_and_deterministic():
-    phi = PAULI_EIGENSTATES[0]
-    traj = run_protocol(EncodingKind.SCRAMBLING, 0.8, 0.03, phi, CFG)
-    for rho in (traj.rho_t1, traj.rho_t2, traj.rho_t3_pre,
-                traj.outcome.post_state):
-        rho.validate()
-    traj2 = run_protocol(EncodingKind.SCRAMBLING, 0.8, 0.03, phi, CFG)
-    assert np.array_equal(traj.outcome.post_state.matrix,
-                          traj2.outcome.post_state.matrix)
-    assert traj.outcome.success_probability == traj2.outcome.success_probability
+    rhos = run_protocol(EncodingKind.SCRAMBLING, 0.8, 0.03, CFG)
+    assert all(r.shape == (6, 128, 128) for r in rhos)
+    post, prob = project_pair(rhos[2][0], (3, 4))  # X+
+    for rho in (rhos[0][0], rhos[1][0], rhos[2][0], post):
+        DensityMatrix(rho, 7).validate()
+    post2, prob2 = project_pair(
+        run_protocol(EncodingKind.SCRAMBLING, 0.8, 0.03, CFG)[2][0], (3, 4))
+    assert np.array_equal(post, post2)
+    assert prob == prob2
 
 
 @pytest.mark.parametrize("kind", list(EncodingKind))
 def test_noiseless_matches_state_vector_oracle(kind):
     """Trotter density matrix vs exact gate-product pure state at gamma=0."""
     phi = PAULI_EIGENSTATES[2]  # Y+
-    traj = run_protocol(kind, 0.7, 0.0, phi, CFG)
+    rho1, rho2, rho3 = (r[2] for r in run_protocol(kind, 0.7, 0.0, CFG))
+    post, prob = project_pair(rho3, (3, 4))
     ref = oracle.run(kind.value, 0.7, phi.vector)
-    for got, psi in [(traj.rho_t1, ref["t1"]), (traj.rho_t2, ref["t2"]),
-                     (traj.rho_t3_pre, ref["t3"]),
-                     (traj.outcome.post_state, ref["post"])]:
+    for got, psi in [(rho1, ref["t1"]), (rho2, ref["t2"]), (rho3, ref["t3"]),
+                     (post, ref["post"])]:
         expect = np.outer(psi, psi.conj())
-        assert np.linalg.norm(got.matrix - expect) < 1e-6
-    assert traj.outcome.success_probability == pytest.approx(ref["prob"],
-                                                             abs=1e-8)
+        assert np.linalg.norm(got - expect) < 1e-6
+    assert prob == pytest.approx(ref["prob"], abs=1e-8)
 
 
 def test_noiseless_success_probability_quarter_at_full_scrambling():
     for kind in EncodingKind:
-        traj = run_protocol(kind, 1.0, 0.0, PAULI_EIGENSTATES[1], CFG)
-        assert traj.outcome.success_probability == pytest.approx(0.25, abs=1e-3)
+        rho3 = run_protocol(kind, 1.0, 0.0, CFG)[2][1]  # X-
+        assert project_pair(rho3, (3, 4))[1] == pytest.approx(0.25, abs=1e-3)
 
 
 def test_projection_preserves_purity_of_pure_states():
-    traj = run_protocol(EncodingKind.SWAP, 0.4, 0.0, PAULI_EIGENSTATES[5], CFG)
-    post = traj.outcome.post_state.matrix
+    rho3 = run_protocol(EncodingKind.SWAP, 0.4, 0.0, CFG)[2][5]  # Z-
+    post, _ = project_pair(rho3, (3, 4))
     assert np.real(np.trace(post @ post)) == pytest.approx(1, abs=1e-10)
 
 

@@ -257,3 +257,32 @@ def test_rows_are_appended_once_each(tmp_path, monkeypatch):
         assert data == "\n".join(sweep._header_lines(cfg) + rows) + "\n"
         assert len(calls) == len(rows) + 1
         assert sum(written) == len(data)
+
+
+def test_off_grid_dt_is_rejected_before_the_sweep(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"dt=0\.3 .* time 2\.0 is off"):
+        parse_config("dt = 0.3\n")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("dt = 0.3\nalpha_count = 2\ngamma_count = 2\n")
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "ERROR config-invalid dt=0.3" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+    for dt in (0.01, 0.04, 0.25, 0.5):
+        assert parse_config(f"dt = {dt}\n").dt == dt
+
+
+def test_cli_checks_figure_coverage_before_the_sweep(tmp_path, monkeypatch,
+                                                     capsys):
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FAST + "protocols = scrambling\nalpha_count = 1\n"
+                        "gamma_max = 0.04\ngamma_count = 2\n")
+    code = cli.main(["--config", str(cfg_path), "--figure", "fig2",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    assert ("ERROR figure-data missing grid coverage: protocol=scrambling "
+            "gamma=0.038") in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()

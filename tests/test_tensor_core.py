@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from teleportsim.gates import I2, SWAP, X, Z
 from teleportsim.tensor_core import (DensityMatrix, NonHermitianError,
-                                     hermitian_eigenvalues, kron,
-                                     partial_trace, partial_transpose)
+                                     hermitian_eigenvalues, partial_trace,
+                                     partial_transpose)
 
 from dense_reference import embed
 
@@ -21,13 +21,15 @@ def random_density(rng, n):
 
 
 def test_kron_identities():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
-    assert np.array_equal(kron(Z, Z), np.diag([1, -1, -1, 1.0]))
+    """np.kron puts its first factor on the most significant qubit."""
+    assert np.array_equal(np.kron(I2, I2), np.eye(4))
+    assert np.array_equal(np.kron(Z, Z), np.diag([1, -1, -1, 1.0]))
+    assert np.array_equal(np.kron(Z, I2), np.diag([1, 1, -1, -1.0]))
 
 
 def test_kron_xx_flips_00():
     v00 = np.array([1, 0, 0, 0], dtype=complex)
-    assert np.allclose(kron(X, X) @ v00, [0, 0, 0, 1])
+    assert np.allclose(np.kron(X, X) @ v00, [0, 0, 0, 1])
 
 
 def test_embed_single_site():
