@@ -9,15 +9,17 @@ Schedule transcription files are plain text, one gate per line:
     GATE <name> SITES <i[,j]> START <t> DUR <tau> PARAM <expr(alpha)>
 
 plus ``TIME t1|t2|t3 <t>`` lines fixing the protocol checkpoints. PARAM is
-an expression linear in ``alpha`` (``pi`` is available); its meaning is the
-rotation angle for XX/RZ, the signed exponent for PSWAP, and a scale factor
-(normally 1) for CNOT/HAD.
+an arithmetic expression in ``alpha`` and ``pi`` (numbers, + - * / and
+parentheses, nothing else); its meaning is the rotation angle for XX/RZ,
+the signed exponent for PSWAP, and a scale factor (normally 1) for
+CNOT/HAD.
 """
 
 from __future__ import annotations
 
+import ast
 import math
-import re
+import operator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -27,9 +29,6 @@ from scipy.linalg import expm
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
 
 # ln SWAP = (i pi / 2) * LN_SWAP_CORE
 LN_SWAP_CORE = np.array(
@@ -106,19 +105,37 @@ class GateSegment:
         return self.start_time - eps <= t < self.end_time - eps
 
 
-_PARAM_RE = re.compile(r"^[0-9a-z+\-*/(). ]+$")
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 def eval_param(expr: str, alpha: float) -> float:
-    """Evaluate a PARAM expression over the names {alpha, pi}."""
-    expr = expr.strip().lower()
-    if not _PARAM_RE.match(expr):
-        raise ScheduleError(f"illegal characters in PARAM expression {expr!r}")
+    """Evaluate a PARAM expression: numbers, alpha, pi, unary + and -,
+    binary + - * / and parentheses."""
+    names = {"alpha": alpha, "pi": math.pi}
+
+    def walk(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return node.value
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+            return _UNARY_OPS[type(node.op)](walk(node.operand))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+            return _BINARY_OPS[type(node.op)](walk(node.left), walk(node.right))
+        raise ScheduleError(f"PARAM expression {expr!r} may only use numbers, "
+                            f"alpha, pi, + - * / and parentheses")
+
     try:
-        value = eval(expr, {"__builtins__": {}}, {"alpha": alpha, "pi": math.pi})
-    except Exception as exc:
-        raise ScheduleError(f"cannot evaluate PARAM expression {expr!r}: {exc}")
-    return float(value)
+        return float(walk(ast.parse(expr.strip().lower(), mode="eval").body))
+    except SyntaxError as exc:
+        raise ScheduleError(f"cannot parse PARAM expression {expr!r}: {exc.msg}")
+    except ZeroDivisionError:
+        raise ScheduleError(f"division by zero in PARAM expression {expr!r}")
+    except (RecursionError, ValueError, MemoryError):
+        raise ScheduleError(f"PARAM expression {expr!r} is nested too deeply "
+                            f"or malformed")
 
 
 @dataclass(frozen=True)

@@ -53,38 +53,29 @@ def log_negativity(rho: DensityMatrix, subsystem_b, log_base: float = 2) -> floa
     return _neg_log(1 + 2 * n, log_base)
 
 
+def cut_negativities(sigma: DensityMatrix, sites, n: int,
+                     log_base: float = 2) -> list[float]:
+    """Log negativities of the cuts (1..k | k+1..n), k = 1..n-1, of an
+    n-qubit state that is sigma on the ascending `sites` and a product of
+    single-qubit states on the other qubits. A single-qubit factor adds
+    nothing to a cut, so each is sigma's cut at its sites left of k (zero if
+    sigma stays whole), and equal cuts share one solve on sigma."""
+    m = sigma.num_qubits
+    by_split: dict[int, float] = {0: 0.0, m: 0.0}
+    out = []
+    for k in range(1, n):
+        split = sum(q <= k for q in sites)
+        if split not in by_split:
+            by_split[split] = log_negativity(
+                sigma, tuple(range(split + 1, m + 1)), log_base)
+        out.append(by_split[split])
+    return out
+
+
 def total_negativity(rho: DensityMatrix, log_base: float = 2) -> float:
     """Sum of log negativities over the contiguous cuts (1..k | k+1..n)."""
     n = rho.num_qubits
-    return sum(
-        log_negativity(rho, tuple(range(k + 1, n + 1)), log_base)
-        for k in range(1, n)
-    )
-
-
-def projected_cut_negativities(post: np.ndarray, pair: tuple[int, int],
-                               log_base: float = 2) -> list[float]:
-    """Log negativities of the cuts (1..k | k+1..n), k = 1..n-1, of a state
-    projected onto |00> of the measured pair: |00><00| on the pair times a
-    state sigma on the other qubits. A pure product factor adds nothing to a
-    cut, so each is sigma's cut at its kept qubits left of k (zero if sigma
-    stays whole), and equal cuts share one solve on sigma's small block."""
-    n = int(round(np.log2(post.shape[-1])))
-    idx = [slice(None)] * (2 * n)
-    for q in pair:
-        idx[q - 1] = idx[n + q - 1] = 0
-    sigma = DensityMatrix(
-        post.reshape((2,) * (2 * n))[tuple(idx)].reshape(2 ** (n - 2), -1), n - 2)
-    kept = [q for q in range(1, n + 1) if q not in pair]
-    by_split: dict[int, float] = {0: 0.0, n - 2: 0.0}
-    out = []
-    for k in range(1, n):
-        split = sum(q <= k for q in kept)
-        if split not in by_split:
-            by_split[split] = log_negativity(
-                sigma, tuple(range(split + 1, n - 1)), log_base)
-        out.append(by_split[split])
-    return out
+    return sum(cut_negativities(rho, range(1, n + 1), n, log_base))
 
 
 def run_protocol(kind: EncodingKind, alpha: float, gamma: float,
@@ -138,9 +129,10 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
     """
     rho1, rho2, rho3 = run_protocol(kind, alpha, gamma, cfg, rate_convention,
                                     measurement_pair)
+    n = protocol.NUM_QUBITS
     pair = tuple(measurement_pair)
-    fids, purs, negs, probs, dus = [], [], [], [], []
-    post_sum = np.zeros_like(rho3[0])
+    kept = tuple(q for q in range(1, n + 1) if q not in pair)
+    fids, purs, negs, probs, n2s, n3s, sigmas = [], [], [], [], [], [], []
     failed = []
     for i, phi in enumerate(PAULI_EIGENSTATES):
         try:
@@ -148,31 +140,35 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
         except PostselectionImpossibleError:
             failed.append(phi.label)
             continue
-        dm_post = DensityMatrix(post, protocol.NUM_QUBITS)
-        rho7 = partial_trace(dm_post, (protocol.NUM_QUBITS,))
-        fids.append(fidelity(rho7, phi))
-        purs.append(purity(dm_post))
-        cuts = projected_cut_negativities(post, pair, log_base)
+        # the projection leaves |00><00| on the pair times sigma on the rest
+        sigma = partial_trace(DensityMatrix(post, n), kept)
+        # qubit n, the teleported qubit, is sigma's last
+        fids.append(fidelity(partial_trace(sigma, (len(kept),)), phi))
+        purs.append(purity(sigma))
+        cuts = cut_negativities(sigma, kept, n, log_base)
         # the cut (1..p2-1 | p2..n), with p2 the pair's second qubit
         negs.append(cuts[pair[1] - 2])
         probs.append(prob)
-        n1 = total_negativity(DensityMatrix(rho1[i], protocol.NUM_QUBITS), log_base)
-        n2 = total_negativity(DensityMatrix(rho2[i], protocol.NUM_QUBITS), log_base)
-        dus.append((n1, n2, sum(cuts)))
-        post_sum += post
+        n2s.append(total_negativity(DensityMatrix(rho2[i], n), log_base))
+        n3s.append(sum(cuts))
+        sigmas.append(sigma.matrix)
     if not fids:
         raise PostselectionImpossibleError(
             "heralded outcome impossible for every input state"
         )
-    n1a, n2a, n3a = (float(np.mean([d[j] for d in dus])) for j in range(3))
-    mean_post = post_sum / len(fids)
+    # qubit 1 is idle until t1, so every input's t1 state is its qubit-1
+    # state times one state of qubits 2..n, whose cuts are the input average
+    rest = tuple(range(2, n + 1))
+    n1a = sum(cut_negativities(partial_trace(DensityMatrix(rho1[0], n), rest),
+                               rest, n, log_base))
+    n2a, n3a = float(np.mean(n2s)), float(np.mean(n3s))
     return MetricsRecord(
         kind=kind,
         alpha=alpha,
         gamma=gamma,
         fidelity_avg=float(np.mean(fids)),
         purity_avg=float(np.mean(purs)),
-        purity_of_mean=purity(DensityMatrix(mean_post, protocol.NUM_QUBITS)),
+        purity_of_mean=purity(DensityMatrix(np.mean(sigmas, axis=0), n - 2)),
         neg_cut34=float(np.mean(negs)),
         neg_total_t1=n1a,
         neg_total_t2=n2a,

@@ -70,7 +70,6 @@ class ProtocolSchedule:
     t1: float
     t2: float
     t3: float
-    measurement_pair: tuple[int, int] = (3, 4)
 
     def __post_init__(self):
         if not 0 < self.t1 < self.t2 < self.t3:
@@ -118,7 +117,7 @@ def build_schedule(kind: EncodingKind, alpha: float,
                                         entry.duration, entry.param)
         segments.append(gates.entry_segment(entry, alpha))
     return ProtocolSchedule(kind, alpha, segments, parsed.t1, parsed.t2,
-                            parsed.t3, pair)
+                            parsed.t3)
 
 
 def initial_state(phi: InputState) -> DensityMatrix:

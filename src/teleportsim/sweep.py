@@ -83,16 +83,20 @@ def parse_config(text: str) -> SweepConfig:
         lineno, value = raw[key]
         try:
             return conv(value)
-        except ConfigError:
-            raise
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}")
         except Exception:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}")
 
     def parse_protocols(value):
-        kinds = []
-        for name in value.split(","):
-            kinds.append(EncodingKind(name.strip().lower()))
+        kinds = [EncodingKind(name.strip().lower()) for name in value.split(",")]
+        if len(set(kinds)) != len(kinds):
+            raise ConfigError(f"protocols lists a protocol twice: {value!r}")
         return kinds
+
+    def parse_flag(value):
+        return {"1": True, "true": True, "yes": True,
+                "0": False, "false": False, "no": False}[value.strip().lower()]
 
     cfg.protocols = take("protocols", parse_protocols, cfg.protocols)
     a_min = take("alpha_min", float, 0.0)
@@ -144,9 +148,7 @@ def parse_config(text: str) -> SweepConfig:
             f"{cfg.rate_convention!r}"
         )
     cfg.output_path = take("output", str.strip, cfg.output_path)
-    cfg.resume = take(
-        "resume", lambda v: v.strip().lower() in ("1", "true", "yes"), cfg.resume
-    )
+    cfg.resume = take("resume", parse_flag, cfg.resume)
     return cfg
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,9 @@ from teleportsim.protocol import EncodingKind, build_schedule
 
 import oracle
 from dense_reference import compose_window, embed, scrambling_unitary
+
+SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+                dtype=complex)
 
 
 def assert_unitary(u, atol=1e-12):
@@ -79,9 +84,9 @@ def test_hadamard_gate_action():
 def test_param_swap_endpoints():
     assert np.allclose(param_swap(0, 1), np.eye(4))
     assert np.allclose(param_swap(0, -1), np.eye(4))
-    assert np.allclose(param_swap(1, 1), gates.SWAP, atol=1e-12)
+    assert np.allclose(param_swap(1, 1), SWAP, atol=1e-12)
     half = param_swap(0.5, 1)
-    assert np.allclose(half @ half, gates.SWAP, atol=1e-12)
+    assert np.allclose(half @ half, SWAP, atol=1e-12)
 
 
 def test_param_swap_range_checks():
@@ -160,10 +165,21 @@ def test_eval_param():
     assert eval_param("pi/2", 0.0) == pytest.approx(np.pi / 2)
     assert eval_param("-alpha*pi/2", 0.5) == pytest.approx(-np.pi / 4)
     assert eval_param("1", 0.3) == 1.0
-    with pytest.raises(ScheduleError):
-        eval_param("__import__('os')", 0.0)
-    with pytest.raises(ScheduleError):
-        eval_param("alpha +", 0.0)
+    assert eval_param("+(2 - alpha) / 4", 1.0) == 0.25
+    for bad in ("__import__('os')", "alpha +", "alpha**2", "abs(alpha)",
+                "alpha.real", "(1).__class__", "1 if alpha else 0", "beta",
+                "1j", "True", "", "alpha / (1 - 1)",
+                "(" * 300 + "alpha" + ")" * 300, "-" * 5000 + "alpha",
+                "(-" * 150 + "1" + ")" * 150 + "+1" * 3000):
+        with pytest.raises(ScheduleError, match=re.escape(repr(bad))):
+            eval_param(bad, 0.5)
+    # every PARAM of both packaged schedules, bit for bit as Python gives it
+    for kind in EncodingKind:
+        for entry in gates.load_schedule(kind.value).entries:
+            for alpha in (0.0, 0.3, 0.73, 1.0):
+                want = float(eval(entry.param, {"__builtins__": {}},
+                                  {"alpha": alpha, "pi": np.pi}))
+                assert eval_param(entry.param, alpha) == want
 
 
 def test_parse_schedule_errors():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from teleportsim.evolution import EvolutionConfig
-from teleportsim.metrics import (average_over_inputs, fidelity,
-                                 log_negativity, projected_cut_negativities,
-                                 purity, run_protocol, total_negativity)
+from teleportsim.metrics import (average_over_inputs, cut_negativities,
+                                 fidelity, log_negativity, purity,
+                                 run_protocol, total_negativity)
 from teleportsim.protocol import (EncodingKind, MEASUREMENT_PAIRS,
                                   PAULI_EIGENSTATES, project_pair)
 from teleportsim.tensor_core import DensityMatrix, partial_trace
@@ -135,18 +135,51 @@ def test_each_pauli_pair_teleports_perfectly_noiseless():
         assert fidelity(rho7, phi) == pytest.approx(1, abs=1e-3)
 
 
+def assert_cuts_match(rho, sigma, sites, log_base):
+    """cut_negativities on sigma equals the cuts of the 7-qubit rho."""
+    full = [log_negativity(DensityMatrix(rho, 7), tuple(range(k + 1, 8)),
+                           log_base) for k in range(1, 7)]
+    fast = cut_negativities(sigma, sites, 7, log_base)
+    assert max(full) > 0.1
+    assert np.max(np.abs(np.subtract(fast, full))) < 1e-12
+
+
+def random_state(rng, dim, rank):
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    m = a @ a.conj().T
+    return m / np.trace(m)
+
+
 @pytest.mark.parametrize("pair", MEASUREMENT_PAIRS)
 @pytest.mark.parametrize("rank", [1, 3])
 def test_projected_cut_negativities_match_full_cuts(pair, rank):
     rng = np.random.default_rng(rank * 10 + pair[0])
+    kept = tuple(q for q in range(1, 8) if q not in pair)
     for log_base in (2, np.e):
-        a = rng.normal(size=(128, rank)) + 1j * rng.normal(size=(128, rank))
-        post, _ = project_pair(a @ a.conj().T, pair)
-        full = [log_negativity(DensityMatrix(post, 7), tuple(range(k + 1, 8)),
-                               log_base) for k in range(1, 7)]
-        fast = projected_cut_negativities(post, pair, log_base)
-        assert max(full) > 0.1
-        assert np.max(np.abs(np.subtract(fast, full))) < 1e-12
+        # the t3 shape: |00><00| on the measured pair times a 5-qubit state
+        post, _ = project_pair(random_state(rng, 128, rank), pair)
+        sigma = partial_trace(DensityMatrix(post, 7), kept)
+        assert_cuts_match(post, sigma, kept, log_base)
+        # the t1 shape: a mixed qubit 1 times a 6-qubit state
+        rest = random_state(rng, 64, rank)
+        rho = np.kron(random_state(rng, 2, 2), rest)
+        assert_cuts_match(rho, DensityMatrix(rest, 6), range(2, 8), log_base)
+
+
+@pytest.mark.parametrize("kind", list(EncodingKind))
+@pytest.mark.parametrize("rate_convention", ["kraus", "lindblad"])
+def test_t1_negativity_once_per_point_is_the_input_mean(kind, rate_convention):
+    """neg_total_t1, taken from one input's qubits 2..7, equals the mean of
+    total_negativity over the six 128 x 128 t1 states."""
+    cfg = EvolutionConfig(0.25)
+    for gamma in (0.0, 0.03, 0.5):
+        rho1 = run_protocol(kind, 0.6, gamma, cfg, rate_convention)[0]
+        for log_base in (2, np.e):
+            rec = average_over_inputs(kind, 0.6, gamma, cfg, rate_convention,
+                                      log_base)
+            mean = np.mean([total_negativity(DensityMatrix(r, 7), log_base)
+                            for r in rho1])
+            assert abs(rec.neg_total_t1 - mean) < 1e-12
 
 
 @pytest.mark.parametrize("kind", list(EncodingKind))

@@ -94,6 +94,18 @@ def test_measurement_pair_retargets_rotations():
     assert sorted(s.sites for s in late) == [(2,), (2, 5)]
 
 
+@pytest.mark.parametrize("kind", list(EncodingKind))
+@pytest.mark.parametrize("pair", MEASUREMENT_PAIRS)
+def test_qubit_1_is_idle_before_t1(kind, pair):
+    """No segment acts on qubit 1 before t1, so every input's t1 state is
+    its qubit-1 state times one state of qubits 2..7; average_over_inputs
+    takes the t1 negativities from that one state."""
+    sched = build_schedule(kind, 1.0, pair)
+    on_1 = [s for s in sched.segments if 1 in s.sites]
+    assert on_1
+    assert min(s.start_time for s in on_1) >= sched.t1
+
+
 def test_bell_measurement_on_prepared_bell_pair():
     # qubits (3,4) exactly in the heralded Bell state, rotated to |00>
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)

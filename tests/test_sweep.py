@@ -286,3 +286,29 @@ def test_cli_checks_figure_coverage_before_the_sweep(tmp_path, monkeypatch,
     assert ("ERROR figure-data missing grid coverage: protocol=scrambling "
             "gamma=0.038") in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_malformed_resume_value_is_rejected(tmp_path, capsys):
+    for value, want in (("TRUE", True), ("yes", True), ("1", True),
+                        ("False", False), ("no", False), ("0", False)):
+        assert parse_config(f"resume = {value}\n").resume is want
+    with pytest.raises(ConfigError, match=r"line 2: bad value for resume"):
+        parse_config("dt = 0.05\nresume = ture\n")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FAST + "resume = ture\n")
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "ERROR config-invalid line 2: bad value for resume" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_repeated_protocol_is_rejected(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="line 1: protocols lists a protocol"):
+        parse_config("protocols = scrambling, swap, Scrambling\n")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FAST + "protocols = swap, swap\nalpha_count = 1\n"
+                        "gamma_count = 1\n")
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "ERROR config-invalid line 2: protocols lists a protocol twice" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "sweep.csv").exists()

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teleportsim.gates import I2, SWAP, X, Z
+from teleportsim.gates import I2, X, Z
 from teleportsim.tensor_core import (DensityMatrix, NonHermitianError,
                                      hermitian_eigenvalues, partial_trace,
                                      partial_transpose)
 
 from dense_reference import embed
+
+SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+                dtype=complex)
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
