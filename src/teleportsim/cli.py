@@ -46,8 +46,8 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"ERROR figure-data {exc}", file=sys.stderr)
             return 1
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, os.path.basename(cfg.output_path))
+    out_path = os.path.join(args.out, cfg.output_path)
+    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     try:
         rows = run_sweep(cfg, out_path)
     except Exception as exc:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.linalg import expm
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -98,8 +97,9 @@ class GateSegment:
         return self.start_time + self.duration
 
     def step_unitary(self, dt: float) -> np.ndarray:
-        """exp(-i * generator * dt)."""
-        return expm(-1j * self.generator * dt)
+        """exp(-i * generator * dt) = V diag(e^{-i w dt}) V^dagger."""
+        w, v = np.linalg.eigh(self.generator)
+        return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
     def active_at(self, t: float, eps: float = 1e-9) -> bool:
         return self.start_time - eps <= t < self.end_time - eps

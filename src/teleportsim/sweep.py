@@ -98,12 +98,23 @@ def parse_config(text: str) -> SweepConfig:
         return {"1": True, "true": True, "yes": True,
                 "0": False, "false": False, "no": False}[value.strip().lower()]
 
+    def parse_finite(value):
+        number = float(value)
+        if not np.isfinite(number):
+            raise ConfigError(f"expected a finite number, got {value!r}")
+        return number
+
+    def parse_output(value):
+        if not os.path.basename(value):
+            raise ConfigError(f"output must name a file, got {value!r}")
+        return value
+
     cfg.protocols = take("protocols", parse_protocols, cfg.protocols)
-    a_min = take("alpha_min", float, 0.0)
-    a_max = take("alpha_max", float, 1.0)
+    a_min = take("alpha_min", parse_finite, 0.0)
+    a_max = take("alpha_max", parse_finite, 1.0)
     a_cnt = take("alpha_count", int, 51)
-    g_min = take("gamma_min", float, 0.0)
-    g_max = take("gamma_max", float, 0.06)
+    g_min = take("gamma_min", parse_finite, 0.0)
+    g_max = take("gamma_max", parse_finite, 0.06)
     g_cnt = take("gamma_count", int, 31)
     if not (0 <= a_min <= a_max <= 1):
         raise ConfigError(
@@ -119,7 +130,7 @@ def parse_config(text: str) -> SweepConfig:
         raise ConfigError("grid counts must be positive (alpha_count/gamma_count)")
     cfg.alpha_grid = GridSpec(a_min, a_max, a_cnt)
     cfg.gamma_grid = GridSpec(g_min, g_max, g_cnt)
-    cfg.dt = take("dt", float, cfg.dt)
+    cfg.dt = take("dt", parse_finite, cfg.dt)
     if cfg.dt <= 0:
         raise ConfigError("dt must be positive")
     step = EvolutionConfig(cfg.dt)
@@ -136,7 +147,7 @@ def parse_config(text: str) -> SweepConfig:
         if value.strip().lower() == "e":
             return float(np.e)
         base = float(value)
-        if base not in (2.0,) and abs(base - np.e) > 1e-12:
+        if base != 2.0 and not abs(base - np.e) <= 1e-12:
             raise ConfigError("log_base must be 2 or e")
         return base
 
@@ -147,7 +158,7 @@ def parse_config(text: str) -> SweepConfig:
             f"rate_convention must be kraus or lindblad, got "
             f"{cfg.rate_convention!r}"
         )
-    cfg.output_path = take("output", str.strip, cfg.output_path)
+    cfg.output_path = take("output", parse_output, cfg.output_path)
     cfg.resume = take("resume", parse_flag, cfg.resume)
     return cfg
 

@@ -108,7 +108,7 @@ def slot_unitary(segments, dt: float, n: int) -> np.ndarray:
     _check_disjoint(segments)
     u = np.eye(2 ** n, dtype=complex)
     for seg in segments:
-        u = embed(seg.step_unitary(dt), seg.sites, n) @ u
+        u = embed(expm(-1j * seg.generator * dt), seg.sites, n) @ u
     return u
 
 

@@ -154,11 +154,24 @@ def test_gate_segment_validation():
 
 
 def test_step_unitary_composes_to_full_gate():
-    seg = GateSegment(gates.rz_generator(np.pi / 2), (1,), 0.0, 1.0)
-    u = np.eye(2, dtype=complex)
-    for _ in range(100):
-        u = seg.step_unitary(0.01) @ u
-    assert np.max(np.abs(u - oracle.rz(np.pi / 2))) < 1e-10
+    """For each gate kind, the eigenbasis step unitary is scipy's expm to
+    1e-14, is unitary, and its steps compose to the closed-form gate."""
+    for entry, gate in [
+        (ScheduleEntry("XX", (1, 2), 2.0, 1.0, "0.3"), oracle.xx(0.3)),
+        (ScheduleEntry("RZ", (1,), 0.0, 1.0, "pi/2"), oracle.rz(np.pi / 2)),
+        (ScheduleEntry("CNOT", (3, 4), 10.0, 1.0, "1"), oracle.cnot()),
+        (ScheduleEntry("HAD", (3,), 11.0, 1.0, "1"), oracle.had()),
+        (ScheduleEntry("PSWAP", (5, 4), 6.0, 4.0, "-alpha"), oracle.pswap(-0.8)),
+    ]:
+        seg = entry_segment(entry, 0.8)
+        for dt in (0.01, 0.04, 0.25):
+            step = seg.step_unitary(dt)
+            assert np.max(np.abs(step - expm(-1j * seg.generator * dt))) < 1e-14
+            assert_unitary(step, atol=1e-14)
+            u = np.eye(len(step), dtype=complex)
+            for _ in range(round(seg.duration / dt)):
+                u = step @ u
+            assert np.max(np.abs(u - gate)) < 1e-10
 
 
 def test_eval_param():

@@ -184,14 +184,33 @@ def test_t1_negativity_once_per_point_is_the_input_mean(kind, rate_convention):
 
 @pytest.mark.parametrize("kind", list(EncodingKind))
 def test_average_over_inputs_reduces_run_protocol(kind):
-    """The averages come from run_protocol's batches, bit for bit."""
+    """The averages come from run_protocol's batches: t2 and the success
+    probability bit for bit; t1, which average_over_inputs takes from one
+    6-qubit factor rather than the 128 x 128 batch, to rounding."""
     cfg = EvolutionConfig(0.04)
-    pair = (2, 5)
-    rec = average_over_inputs(kind, 0.6, 0.03, cfg, measurement_pair=pair)
-    rho1, rho2, rho3 = run_protocol(kind, 0.6, 0.03, cfg, measurement_pair=pair)
-    assert rec.failed_inputs == []
-    for got, batch in ((rec.neg_total_t1, rho1), (rec.neg_total_t2, rho2)):
-        assert got == float(np.mean([total_negativity(DensityMatrix(r, 7))
-                                     for r in batch]))
-    assert rec.success_prob_avg == float(
-        np.mean([project_pair(r, pair)[1] for r in rho3]))
+    for pair in MEASUREMENT_PAIRS:
+        for gamma in (0.0, 0.03, 0.5):
+            rec = average_over_inputs(kind, 0.6, gamma, cfg, measurement_pair=pair)
+            rho1, rho2, rho3 = run_protocol(kind, 0.6, gamma, cfg,
+                                            measurement_pair=pair)
+            assert rec.failed_inputs == []
+            mean1, mean2 = (
+                float(np.mean([total_negativity(DensityMatrix(r, 7)) for r in b]))
+                for b in (rho1, rho2))
+            assert abs(rec.neg_total_t1 - mean1) <= 1e-13
+            assert rec.neg_total_t2 == mean2
+            assert rec.success_prob_avg == float(
+                np.mean([project_pair(r, pair)[1] for r in rho3]))
+
+
+def test_scrambling_purity_falls_to_a_minimum_then_rises_in_gamma():
+    """At alpha = 1 the heralded purity does not approach the 1/32 floor
+    asymptotically in gamma: it falls to a minimum near gamma = 0.2 and then
+    rises, staying above the floor throughout."""
+    cfg = EvolutionConfig(0.04)
+    purity = {g: average_over_inputs(EncodingKind.SCRAMBLING, 1.0, g, cfg).purity_avg
+              for g in (0.06, 0.2, 1.0, 5.0)}
+    for g, want in ((0.06, 0.0565), (0.2, 0.0413), (1.0, 0.0452), (5.0, 0.160)):
+        assert purity[g] == pytest.approx(want, abs=5e-4)
+    assert purity[0.06] > purity[0.2] < purity[1.0] < purity[5.0]
+    assert min(purity.values()) > 1 / 32

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -312,3 +314,66 @@ def test_repeated_protocol_is_rejected(tmp_path, capsys):
     assert "ERROR config-invalid line 2: protocols lists a protocol twice" in (
         capsys.readouterr().err)
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["dt = nan", "gamma_max = inf",
+                                  "alpha_max = nan", "log_base = nan"])
+def test_non_finite_numbers_are_rejected(tmp_path, capsys, line):
+    with pytest.raises(ConfigError, match=r"line 2: "):
+        parse_config(f"protocols = swap\n{line}\n")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"protocols = swap\n{line}\nalpha_count = 1\n"
+                        "gamma_count = 1\n")
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "ERROR config-invalid line 2: " in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_empty_output_is_rejected(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="line 2: output must name a file"):
+        parse_config("dt = 0.5\noutput =\n")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("dt = 0.5\noutput =\nalpha_count = 1\ngamma_count = 1\n")
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert ("ERROR config-invalid line 2: output must name a file"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_output_path_is_kept_under_out(tmp_path, monkeypatch):
+    """The CLI writes <--out>/<output>, directories included, the same file
+    run_sweep writes at <output> when called as a library."""
+    text = ("protocols = swap\ndt = 0.5\nalpha_count = 1\ngamma_count = 1\n"
+            "output = sub/run.csv\n")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert not (tmp_path / "out" / "run.csv").exists()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    run_sweep(parse_config(text))
+    assert ((tmp_path / "out" / "sub" / "run.csv").read_bytes()
+            == (tmp_path / "sub" / "run.csv").read_bytes())
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """numpy is the package's only runtime dependency: a sweep run in a fresh
+    interpreter imports no scipy module."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sweep.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("protocols = scrambling\ndt = 0.5\nalpha_count = 1\n"
+                        "gamma_count = 1\n")
+    script = ("import sys\n"
+              "from teleportsim import cli\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "print(sorted(m for m in sys.modules\n"
+              "             if m == 'scipy' or m.startswith('scipy.')))\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "--config", str(cfg_path),
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sweep.csv").exists()
+    assert proc.stdout.splitlines()[-1] == "[]"
