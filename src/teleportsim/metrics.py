@@ -1,13 +1,14 @@
-"""The protocol pipeline and its observables: the six Pauli-eigenstate
-inputs evolved as one batch, teleportation fidelity, purity, logarithmic
-negativity (single-cut and summed over all contiguous cuts), entanglement
-deltas, and their averages over the inputs.
+"""The protocol pipeline and its observables: the protocol evolved as a
+linear channel on qubit 1's input, teleportation fidelity, purity,
+logarithmic negativity (single-cut and summed over all contiguous cuts),
+entanglement deltas, and their averages over the six Pauli-eigenstate
+inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,7 +37,11 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.sum(np.abs(m) ** 2))
 
 
-def _neg_log(two_n_plus_1: float, log_base: float) -> float:
+def _log_negativity_of(ev: np.ndarray, log_base: float) -> float:
+    """log(1 + 2N) with N the absolute sum of the negative eigenvalues ev of
+    a partial transpose; those smaller than 1e-12 in magnitude count as 0."""
+    ev = ev[np.abs(ev) >= NEGATIVITY_EIGENVALUE_CUTOFF]
+    two_n_plus_1 = 1 + 2 * float(np.sum((np.abs(ev) - ev) / 2))
     if log_base == 2:
         return math.log2(two_n_plus_1)
     return math.log(two_n_plus_1) / math.log(log_base)
@@ -48,9 +53,7 @@ def log_negativity(rho: DensityMatrix, subsystem_b, log_base: float = 2) -> floa
     Eigenvalues smaller than 1e-12 in magnitude are treated as zero.
     """
     ev = hermitian_eigenvalues(partial_transpose(rho, subsystem_b))
-    ev = ev[np.abs(ev) >= NEGATIVITY_EIGENVALUE_CUTOFF]
-    n = float(np.sum((np.abs(ev) - ev) / 2))
-    return _neg_log(1 + 2 * n, log_base)
+    return _log_negativity_of(ev, log_base)
 
 
 def cut_negativities(sigma: DensityMatrix, sites, n: int,
@@ -78,23 +81,79 @@ def total_negativity(rho: DensityMatrix, log_base: float = 2) -> float:
     return sum(cut_negativities(rho, range(1, n + 1), n, log_base))
 
 
+def _parity_cut_negativities(rho: DensityMatrix, log_base: float) -> list[float]:
+    """The contiguous-cut log negativities of a state that commutes with the
+    parity Z^(x)n. Every partial transpose of it then commutes with the
+    parity too, so its spectrum is that of its even and odd blocks: two
+    half-size solves a cut."""
+    n = rho.num_qubits
+    idx = np.arange(2 ** n)
+    odd = np.zeros(2 ** n, dtype=bool)
+    for q in range(n):
+        odd ^= (idx >> q) & 1 == 1
+    out = []
+    for k in range(1, n):
+        pt = partial_transpose(rho, range(k + 1, n + 1))
+        ev = np.concatenate([hermitian_eigenvalues(pt[np.ix_(block, block)])
+                             for block in (~odd, odd)])
+        out.append(_log_negativity_of(ev, log_base))
+    return out
+
+
+def _evolve_channel(kind: EncodingKind, alpha: float, gamma: float,
+                    cfg: EvolutionConfig | None, rate_convention: str,
+                    measurement_pair: tuple[int, int]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The protocol up to the heralding projection is a linear channel on
+    qubit 1's input. Returns its images at t1, t2 and t3 of
+    A = |0><0| (x) sigma, B = |1><1| (x) sigma and
+    C = e^{-r t1} |0><1| (x) sigma, each stacked as (3, 128, 128), with
+    sigma the t1 state of qubits 2..n and r the coherence decay rate; the
+    image of C' is that of C, daggered.
+    """
+    cfg = cfg or EvolutionConfig()
+    sched = protocol.build_schedule(kind, alpha, measurement_pair)
+    protocol.check_channel_structure(sched)
+    n = protocol.NUM_QUBITS
+    # qubit 1 is idle until t1: evolve qubits 2..n alone, sites shifted down
+    early = [replace(s, sites=tuple(q - 1 for q in s.sites))
+             for s in sched.segments if s.start_time < sched.t1 - 1e-9]
+    rest = np.zeros((1, 2 ** (n - 1), 2 ** (n - 1)), dtype=complex)
+    rest[0, 0, 0] = 1.0
+    sigma = evolve_array(rest, early, NoiseModel(gamma, n - 1, rate_convention),
+                         cfg, 0.0, sched.t1)[0]
+    noise = NoiseModel(gamma, n, rate_convention)
+    coherence = math.exp(-noise.coherence_rate * sched.t1)
+    qubit1 = ([[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, coherence], [0, 0]])
+    ops1 = np.stack([np.kron(q1, sigma) for q1 in qubit1])
+    ops2 = evolve_array(ops1, sched.segments, noise, cfg, sched.t1, sched.t2)
+    ops3 = evolve_array(ops2, sched.segments, noise, cfg, sched.t2, sched.t3)
+    return ops1, ops2, ops3
+
+
+def _input_states(ops: np.ndarray) -> np.ndarray:
+    """The (6, 128, 128) states of the PAULI_EIGENSTATES inputs from the
+    channel's images of A, B, C: input a|0> + b|1> gives
+    |a|^2 A + |b|^2 B + a b* C + a* b C'."""
+    v = np.array([phi.vector for phi in PAULI_EIGENSTATES])
+    a, b = v[:, 0], v[:, 1]
+    weights = np.stack([abs(a) ** 2, abs(b) ** 2, a * b.conj(), a.conj() * b],
+                       axis=1)
+    images = np.concatenate([ops, ops[2:].conj().swapaxes(-1, -2)])
+    return np.tensordot(weights, images, axes=1)
+
+
 def run_protocol(kind: EncodingKind, alpha: float, gamma: float,
                  cfg: EvolutionConfig | None = None,
                  rate_convention: str = "kraus",
                  measurement_pair: tuple[int, int] = (3, 4)
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evolve the six PAULI_EIGENSTATES inputs through the protocol as one
-    batch; deterministic. Returns the states at t1, t2 and t3 (before the
-    heralding projection), each of shape (6, 128, 128) in input order."""
-    cfg = cfg or EvolutionConfig()
-    sched = protocol.build_schedule(kind, alpha, measurement_pair)
-    noise = NoiseModel(gamma, protocol.NUM_QUBITS, rate_convention)
-    batch = np.stack([protocol.initial_state(phi).matrix
-                      for phi in PAULI_EIGENSTATES])
-    rho1 = evolve_array(batch, sched.segments, noise, cfg, 0.0, sched.t1)
-    rho2 = evolve_array(rho1, sched.segments, noise, cfg, sched.t1, sched.t2)
-    rho3 = evolve_array(rho2, sched.segments, noise, cfg, sched.t2, sched.t3)
-    return rho1, rho2, rho3
+    """Evolve the six PAULI_EIGENSTATES inputs through the protocol, as
+    three channel operators; deterministic. Returns the states at t1, t2 and
+    t3 (before the heralding projection), each of shape (6, 128, 128) in
+    input order."""
+    return tuple(_input_states(ops) for ops in _evolve_channel(
+        kind, alpha, gamma, cfg, rate_convention, measurement_pair))
 
 
 @dataclass
@@ -127,16 +186,16 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
     Inputs whose heralded outcome is impossible are excluded from the
     averages and listed in failed_inputs.
     """
-    rho1, rho2, rho3 = run_protocol(kind, alpha, gamma, cfg, rate_convention,
-                                    measurement_pair)
+    ops1, ops2, ops3 = _evolve_channel(kind, alpha, gamma, cfg,
+                                       rate_convention, measurement_pair)
     n = protocol.NUM_QUBITS
     pair = tuple(measurement_pair)
     kept = tuple(q for q in range(1, n + 1) if q not in pair)
-    fids, purs, negs, probs, n2s, n3s, sigmas = [], [], [], [], [], [], []
+    fids, purs, negs, probs, n3s, sigmas, heralded = [], [], [], [], [], [], []
     failed = []
-    for i, phi in enumerate(PAULI_EIGENSTATES):
+    for i, (phi, rho3) in enumerate(zip(PAULI_EIGENSTATES, _input_states(ops3))):
         try:
-            post, prob = protocol.project_pair(rho3[i], pair)
+            post, prob = protocol.project_pair(rho3, pair)
         except PostselectionImpossibleError:
             failed.append(phi.label)
             continue
@@ -149,19 +208,32 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
         # the cut (1..p2-1 | p2..n), with p2 the pair's second qubit
         negs.append(cuts[pair[1] - 2])
         probs.append(prob)
-        n2s.append(total_negativity(DensityMatrix(rho2[i], n), log_base))
         n3s.append(sum(cuts))
         sigmas.append(sigma.matrix)
+        heralded.append(i)
     if not fids:
         raise PostselectionImpossibleError(
             "heralded outcome impossible for every input state"
         )
-    # qubit 1 is idle until t1, so every input's t1 state is its qubit-1
-    # state times one state of qubits 2..n, whose cuts are the input average
+    # The t2 cuts, in input order X+, X-, Y+, Y-, Z+, Z-. Up to t2 the
+    # channel commutes with the parity P = Z^(x)n (check_channel_structure),
+    # so rho2(X-) = P rho2(X+) P and rho2(Y-) = P rho2(Y+) P have the cuts of
+    # X+ and Y+, as P is a product of local unitaries; Z+ and Z- give A and
+    # B, which commute with P, so their cuts are solved as parity blocks.
+    rho2 = _input_states(ops2)
+    x, y = (total_negativity(DensityMatrix(rho2[i], n), log_base) for i in (0, 2))
+    z = [sum(_parity_cut_negativities(DensityMatrix(m, n), log_base))
+         for m in rho2[4:]]
+    n2s = [x, x, y, y, *z]
+    # every input's t1 state is its qubit-1 state times sigma, the same
+    # state of qubits 2..n, whose cuts are the input average; A's top-left
+    # block is sigma
     rest = tuple(range(2, n + 1))
-    n1a = sum(cut_negativities(partial_trace(DensityMatrix(rho1[0], n), rest),
-                               rest, n, log_base))
-    n2a, n3a = float(np.mean(n2s)), float(np.mean(n3s))
+    d = 2 ** (n - 1)
+    n1a = sum(cut_negativities(DensityMatrix(ops1[0, :d, :d], n - 1), rest, n,
+                               log_base))
+    n2a = float(np.mean([n2s[i] for i in heralded]))
+    n3a = float(np.mean(n3s))
     return MetricsRecord(
         kind=kind,
         alpha=alpha,

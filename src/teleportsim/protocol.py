@@ -120,6 +120,30 @@ def build_schedule(kind: EncodingKind, alpha: float,
                             parsed.t3)
 
 
+def check_channel_structure(sched: ProtocolSchedule) -> None:
+    """Raise ValueError unless no segment that starts before t1 acts on
+    qubit 1, and every segment that starts before t2 has a generator that
+    commutes with the parity Z (x) ... (x) Z of its sites. metrics relies on
+    both: it evolves qubits 2..n alone until t1, and relates the t2 states
+    of opposite X and Y inputs by the global parity Z^(x)n."""
+    for seg in sched.segments:
+        if seg.start_time < sched.t1 - 1e-9 and 1 in seg.sites:
+            raise ValueError(
+                f"segment on sites {seg.sites} starts at {seg.start_time:g}, "
+                f"before t1 = {sched.t1:g}, and acts on qubit 1, which must "
+                f"be idle until t1")
+        if seg.start_time < sched.t2 - 1e-9:
+            parity = np.array([bin(i).count("1") % 2
+                               for i in range(len(seg.generator))])
+            mixed = seg.generator[parity[:, None] != parity]
+            if np.any(np.abs(mixed) > gates.GENERATOR_ATOL):
+                raise ValueError(
+                    f"segment on sites {seg.sites} starts at "
+                    f"{seg.start_time:g}, before t2 = {sched.t2:g}, and its "
+                    f"generator does not commute with the parity Z on its "
+                    f"sites")
+
+
 def initial_state(phi: InputState) -> DensityMatrix:
     """rho(0) = |phi><phi| on qubit 1, all other qubits in |0>."""
     vec = phi.vector

@@ -4,9 +4,7 @@ delimiter-separated output and per-figure data emission.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -246,6 +244,10 @@ def _ordered_map(nworkers: int):
     if nworkers <= 1:
         yield map
         return
+    # imported here, so a serial sweep does not pay for loading them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     unset = [v for v in _BLAS_THREAD_VARS if v not in os.environ]
     os.environ.update(dict.fromkeys(unset, "1"))
     try:

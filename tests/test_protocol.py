@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from teleportsim.evolution import EvolutionConfig
+from teleportsim.evolution import EvolutionConfig, NoiseModel
 from teleportsim.gates import GateSegment, rz_generator
 from teleportsim.metrics import run_protocol
 from teleportsim.protocol import (EncodingKind, InputState, MEASUREMENT_PAIRS,
@@ -12,6 +12,7 @@ from teleportsim.protocol import (EncodingKind, InputState, MEASUREMENT_PAIRS,
                                   initial_state, project_pair)
 from teleportsim.tensor_core import DensityMatrix, partial_trace
 
+import dense_reference
 import oracle
 from dense_reference import embed
 
@@ -144,6 +145,31 @@ def test_run_protocol_checkpoints_valid_and_deterministic():
         run_protocol(EncodingKind.SCRAMBLING, 0.8, 0.03, CFG)[2][0], (3, 4))
     assert np.array_equal(post, post2)
     assert prob == prob2
+
+
+@pytest.mark.parametrize("kind", list(EncodingKind))
+@pytest.mark.parametrize("rate_convention", ["kraus", "lindblad"])
+def test_run_protocol_matches_dense_per_input_evolution(kind, rate_convention):
+    """run_protocol builds its six inputs from three channel operators; each
+    equals that input's own evolution by the dense stepper of
+    tests/dense_reference.py at t1, t2 and t3."""
+    cfg = EvolutionConfig(0.25)
+    batch = np.stack([initial_state(phi).matrix for phi in PAULI_EIGENSTATES])
+    for gamma in (0.0, 0.03, 0.5):
+        noise = NoiseModel(gamma, 7, rate_convention)
+        # the measurement pair moves only the gates after t2
+        sched = build_schedule(kind, 0.6)
+        rho1 = dense_reference.evolve_array(batch, sched.segments, noise, cfg,
+                                            0.0, sched.t1)
+        rho2 = dense_reference.evolve_array(rho1, sched.segments, noise, cfg,
+                                            sched.t1, sched.t2)
+        for pair in MEASUREMENT_PAIRS:
+            sched = build_schedule(kind, 0.6, pair)
+            rho3 = dense_reference.evolve_array(rho2, sched.segments, noise,
+                                                cfg, sched.t2, sched.t3)
+            got = run_protocol(kind, 0.6, gamma, cfg, rate_convention, pair)
+            for fast, slow in zip(got, (rho1, rho2, rho3)):
+                assert np.max(np.abs(fast - slow)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", list(EncodingKind))

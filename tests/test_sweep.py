@@ -358,7 +358,8 @@ def test_output_path_is_kept_under_out(tmp_path, monkeypatch):
 
 def test_cli_runs_without_scipy(tmp_path):
     """numpy is the package's only runtime dependency: a sweep run in a fresh
-    interpreter imports no scipy module."""
+    interpreter imports no scipy module. A serial sweep also imports no
+    concurrent.futures module, which only the worker pool needs."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sweep.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     cfg_path = tmp_path / "run.cfg"
@@ -367,8 +368,9 @@ def test_cli_runs_without_scipy(tmp_path):
     script = ("import sys\n"
               "from teleportsim import cli\n"
               "code = cli.main(sys.argv[1:])\n"
-              "print(sorted(m for m in sys.modules\n"
-              "             if m == 'scipy' or m.startswith('scipy.')))\n"
+              "for top in ('scipy', 'concurrent.futures'):\n"
+              "    print(sorted(m for m in sys.modules\n"
+              "                 if m == top or m.startswith(top + '.')))\n"
               "sys.exit(code)\n")
     proc = subprocess.run(
         [sys.executable, "-c", script, "--config", str(cfg_path),
@@ -376,4 +378,4 @@ def test_cli_runs_without_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sweep.csv").exists()
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
