@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import GateSegment
+from .gates import SCHEDULE_TIME_ATOL, GateSegment
 from .tensor_core import check_sites
-
-TIME_GRID_ATOL = 1e-9
 
 _RATE_FACTOR = {"kraus": 1.0, "lindblad": 0.5}
 
@@ -89,7 +87,7 @@ class EvolutionConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
     def on_grid(self, t: float) -> bool:
-        return abs(t / self.dt - round(t / self.dt)) * self.dt <= TIME_GRID_ATOL
+        return abs(t / self.dt - round(t / self.dt)) * self.dt <= SCHEDULE_TIME_ATOL
 
     def steps_between(self, t_from: float, t_to: float) -> int:
         for t in (t_from, t_to):
@@ -150,7 +148,7 @@ def _slot_edges(segments, t_from: float, t_to: float) -> list[float]:
     edges = {t_from, t_to}
     for seg in segments:
         for t in (seg.start_time, seg.end_time):
-            if t_from + TIME_GRID_ATOL < t < t_to - TIME_GRID_ATOL:
+            if t_from + SCHEDULE_TIME_ATOL < t < t_to - SCHEDULE_TIME_ATOL:
                 edges.add(t)
     return sorted(edges)
 

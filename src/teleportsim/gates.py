@@ -35,6 +35,8 @@ LN_SWAP_CORE = np.array(
 )
 
 GENERATOR_ATOL = 1e-12
+# two schedule times closer than this are the same time
+SCHEDULE_TIME_ATOL = 1e-9
 
 
 class ScheduleError(ValueError):
@@ -101,8 +103,9 @@ class GateSegment:
         w, v = np.linalg.eigh(self.generator)
         return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
-    def active_at(self, t: float, eps: float = 1e-9) -> bool:
-        return self.start_time - eps <= t < self.end_time - eps
+    def active_at(self, t: float) -> bool:
+        return (self.start_time - SCHEDULE_TIME_ATOL <= t
+                < self.end_time - SCHEDULE_TIME_ATOL)
 
 
 _UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
@@ -157,7 +160,6 @@ class ParsedSchedule:
     t3: float
 
 
-_GATE_NAMES = ("XX", "RZ", "CNOT", "HAD", "PSWAP")
 _GATE_ARITY = {"XX": 2, "RZ": 1, "CNOT": 2, "HAD": 1, "PSWAP": 2}
 
 
@@ -181,7 +183,7 @@ def parse_schedule_text(text: str) -> ParsedSchedule:
                 or tok[6] != "DUR" or tok[8] != "PARAM"):
             raise ScheduleError(f"line {lineno}: malformed GATE line")
         name = tok[1]
-        if name not in _GATE_NAMES:
+        if name not in _GATE_ARITY:
             raise ScheduleError(f"line {lineno}: unknown gate {name!r}")
         sites = tuple(int(s) for s in tok[3].split(","))
         if len(sites) != _GATE_ARITY[name]:

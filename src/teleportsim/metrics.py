@@ -12,29 +12,28 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import protocol
+from . import gates, protocol
 from .evolution import EvolutionConfig, NoiseModel, evolve_array
 from .protocol import (EncodingKind, InputState, PAULI_EIGENSTATES,
                        PostselectionImpossibleError)
-from .tensor_core import (DensityMatrix, hermitian_eigenvalues,
-                          partial_trace, partial_transpose)
+from .tensor_core import (hermitian_eigenvalues, num_qubits, partial_trace,
+                          partial_transpose)
 
 NEGATIVITY_EIGENVALUE_CUTOFF = 1e-12
 
 
-def fidelity(rho7: DensityMatrix, phi: InputState) -> float:
+def fidelity(rho7: np.ndarray, phi: InputState) -> float:
     """Overlap <phi| rho7 |phi> of the teleported qubit with the input."""
-    if rho7.num_qubits != 1:
+    if num_qubits(rho7) != 1:
         raise ValueError("fidelity expects a single-qubit state")
     v = phi.vector
-    return float(np.real(v.conj() @ rho7.matrix @ v))
+    return float(np.real(v.conj() @ rho7 @ v))
 
 
-def purity(rho: DensityMatrix) -> float:
+def purity(rho: np.ndarray) -> float:
     """Tr rho^2, in [1/d, 1]."""
-    m = rho.matrix
     # Tr rho^2 = sum_ij rho_ij rho_ji = sum_ij |rho_ij|^2 for Hermitian rho
-    return float(np.sum(np.abs(m) ** 2))
+    return float(np.sum(np.abs(rho) ** 2))
 
 
 def _log_negativity_of(ev: np.ndarray, log_base: float) -> float:
@@ -47,7 +46,7 @@ def _log_negativity_of(ev: np.ndarray, log_base: float) -> float:
     return math.log(two_n_plus_1) / math.log(log_base)
 
 
-def log_negativity(rho: DensityMatrix, subsystem_b, log_base: float = 2) -> float:
+def log_negativity(rho: np.ndarray, subsystem_b, log_base: float = 2) -> float:
     """log(1 + 2N) with N the absolute sum of negative eigenvalues of rho^T_B.
 
     Eigenvalues smaller than 1e-12 in magnitude are treated as zero.
@@ -56,14 +55,14 @@ def log_negativity(rho: DensityMatrix, subsystem_b, log_base: float = 2) -> floa
     return _log_negativity_of(ev, log_base)
 
 
-def cut_negativities(sigma: DensityMatrix, sites, n: int,
+def cut_negativities(sigma: np.ndarray, sites, n: int,
                      log_base: float = 2) -> list[float]:
     """Log negativities of the cuts (1..k | k+1..n), k = 1..n-1, of an
     n-qubit state that is sigma on the ascending `sites` and a product of
     single-qubit states on the other qubits. A single-qubit factor adds
     nothing to a cut, so each is sigma's cut at its sites left of k (zero if
     sigma stays whole), and equal cuts share one solve on sigma."""
-    m = sigma.num_qubits
+    m = num_qubits(sigma)
     by_split: dict[int, float] = {0: 0.0, m: 0.0}
     out = []
     for k in range(1, n):
@@ -75,18 +74,18 @@ def cut_negativities(sigma: DensityMatrix, sites, n: int,
     return out
 
 
-def total_negativity(rho: DensityMatrix, log_base: float = 2) -> float:
+def total_negativity(rho: np.ndarray, log_base: float = 2) -> float:
     """Sum of log negativities over the contiguous cuts (1..k | k+1..n)."""
-    n = rho.num_qubits
+    n = num_qubits(rho)
     return sum(cut_negativities(rho, range(1, n + 1), n, log_base))
 
 
-def _parity_cut_negativities(rho: DensityMatrix, log_base: float) -> list[float]:
+def _parity_cut_negativities(rho: np.ndarray, log_base: float) -> list[float]:
     """The contiguous-cut log negativities of a state that commutes with the
     parity Z^(x)n. Every partial transpose of it then commutes with the
     parity too, so its spectrum is that of its even and odd blocks: two
     half-size solves a cut."""
-    n = rho.num_qubits
+    n = num_qubits(rho)
     idx = np.arange(2 ** n)
     odd = np.zeros(2 ** n, dtype=bool)
     for q in range(n):
@@ -117,7 +116,8 @@ def _evolve_channel(kind: EncodingKind, alpha: float, gamma: float,
     n = protocol.NUM_QUBITS
     # qubit 1 is idle until t1: evolve qubits 2..n alone, sites shifted down
     early = [replace(s, sites=tuple(q - 1 for q in s.sites))
-             for s in sched.segments if s.start_time < sched.t1 - 1e-9]
+             for s in sched.segments
+             if s.start_time < sched.t1 - gates.SCHEDULE_TIME_ATOL]
     rest = np.zeros((1, 2 ** (n - 1), 2 ** (n - 1)), dtype=complex)
     rest[0, 0, 0] = 1.0
     sigma = evolve_array(rest, early, NoiseModel(gamma, n - 1, rate_convention),
@@ -195,12 +195,11 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
     failed = []
     for i, (phi, rho3) in enumerate(zip(PAULI_EIGENSTATES, _input_states(ops3))):
         try:
-            post, prob = protocol.project_pair(rho3, pair)
+            # the heralded state: the pair's |00> block, on the kept qubits
+            sigma, prob = protocol.project_pair(rho3, pair)
         except PostselectionImpossibleError:
             failed.append(phi.label)
             continue
-        # the projection leaves |00><00| on the pair times sigma on the rest
-        sigma = partial_trace(DensityMatrix(post, n), kept)
         # qubit n, the teleported qubit, is sigma's last
         fids.append(fidelity(partial_trace(sigma, (len(kept),)), phi))
         purs.append(purity(sigma))
@@ -209,7 +208,7 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
         negs.append(cuts[pair[1] - 2])
         probs.append(prob)
         n3s.append(sum(cuts))
-        sigmas.append(sigma.matrix)
+        sigmas.append(sigma)
         heralded.append(i)
     if not fids:
         raise PostselectionImpossibleError(
@@ -221,17 +220,15 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
     # X+ and Y+, as P is a product of local unitaries; Z+ and Z- give A and
     # B, which commute with P, so their cuts are solved as parity blocks.
     rho2 = _input_states(ops2)
-    x, y = (total_negativity(DensityMatrix(rho2[i], n), log_base) for i in (0, 2))
-    z = [sum(_parity_cut_negativities(DensityMatrix(m, n), log_base))
-         for m in rho2[4:]]
+    x, y = (total_negativity(rho2[i], log_base) for i in (0, 2))
+    z = [sum(_parity_cut_negativities(m, log_base)) for m in rho2[4:]]
     n2s = [x, x, y, y, *z]
     # every input's t1 state is its qubit-1 state times sigma, the same
     # state of qubits 2..n, whose cuts are the input average; A's top-left
     # block is sigma
     rest = tuple(range(2, n + 1))
     d = 2 ** (n - 1)
-    n1a = sum(cut_negativities(DensityMatrix(ops1[0, :d, :d], n - 1), rest, n,
-                               log_base))
+    n1a = sum(cut_negativities(ops1[0, :d, :d], rest, n, log_base))
     n2a = float(np.mean([n2s[i] for i in heralded]))
     n3a = float(np.mean(n3s))
     return MetricsRecord(
@@ -240,7 +237,7 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
         gamma=gamma,
         fidelity_avg=float(np.mean(fids)),
         purity_avg=float(np.mean(purs)),
-        purity_of_mean=purity(DensityMatrix(np.mean(sigmas, axis=0), n - 2)),
+        purity_of_mean=purity(np.mean(sigmas, axis=0)),
         neg_cut34=float(np.mean(negs)),
         neg_total_t1=n1a,
         neg_total_t2=n2a,

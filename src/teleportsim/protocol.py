@@ -1,5 +1,4 @@
-"""Full 7-qubit teleportation schedules, initial states, and the heralding
-projection.
+"""Full 7-qubit teleportation schedules and the heralding projection.
 
 Protocol phases: Bell-pair creation on qubit pairs (2,5), (3,4), (6,7)
 during [0, t1]; encoding on qubits 1-3 with the conjugate decoding on
@@ -16,7 +15,6 @@ from enum import Enum
 import numpy as np
 
 from . import gates
-from .tensor_core import DensityMatrix
 
 NUM_QUBITS = 7
 POSTSELECTION_EPS = 1e-12
@@ -75,7 +73,8 @@ class ProtocolSchedule:
         if not 0 < self.t1 < self.t2 < self.t3:
             raise ValueError("checkpoints must satisfy 0 < t1 < t2 < t3")
         for seg in self.segments:
-            if seg.start_time < -1e-9 or seg.end_time > self.t3 + 1e-9:
+            if (seg.start_time < -gates.SCHEDULE_TIME_ATOL
+                    or seg.end_time > self.t3 + gates.SCHEDULE_TIME_ATOL):
                 raise ValueError(
                     f"segment on sites {seg.sites} lies outside [0, t3]"
                 )
@@ -86,8 +85,8 @@ class ProtocolSchedule:
             for b in self.segments[i + 1:]:
                 if not set(a.sites) & set(b.sites):
                     continue
-                if (a.start_time < b.end_time - 1e-9
-                        and b.start_time < a.end_time - 1e-9):
+                if (a.start_time < b.end_time - gates.SCHEDULE_TIME_ATOL
+                        and b.start_time < a.end_time - gates.SCHEDULE_TIME_ATOL):
                     raise ValueError(
                         f"segments on sites {a.sites} and {b.sites} overlap "
                         f"in time"
@@ -127,12 +126,12 @@ def check_channel_structure(sched: ProtocolSchedule) -> None:
     both: it evolves qubits 2..n alone until t1, and relates the t2 states
     of opposite X and Y inputs by the global parity Z^(x)n."""
     for seg in sched.segments:
-        if seg.start_time < sched.t1 - 1e-9 and 1 in seg.sites:
+        if seg.start_time < sched.t1 - gates.SCHEDULE_TIME_ATOL and 1 in seg.sites:
             raise ValueError(
                 f"segment on sites {seg.sites} starts at {seg.start_time:g}, "
                 f"before t1 = {sched.t1:g}, and acts on qubit 1, which must "
                 f"be idle until t1")
-        if seg.start_time < sched.t2 - 1e-9:
+        if seg.start_time < sched.t2 - gates.SCHEDULE_TIME_ATOL:
             parity = np.array([bin(i).count("1") % 2
                                for i in range(len(seg.generator))])
             mixed = seg.generator[parity[:, None] != parity]
@@ -142,14 +141,6 @@ def check_channel_structure(sched: ProtocolSchedule) -> None:
                     f"{seg.start_time:g}, before t2 = {sched.t2:g}, and its "
                     f"generator does not commute with the parity Z on its "
                     f"sites")
-
-
-def initial_state(phi: InputState) -> DensityMatrix:
-    """rho(0) = |phi><phi| on qubit 1, all other qubits in |0>."""
-    vec = phi.vector
-    rest = np.zeros(2 ** (NUM_QUBITS - 1), dtype=complex)
-    rest[0] = 1.0
-    return DensityMatrix.from_pure(np.kron(vec, rest))
 
 
 def _pair_projector_mask(pair: tuple[int, int], n: int = NUM_QUBITS) -> np.ndarray:
@@ -162,14 +153,13 @@ def _pair_projector_mask(pair: tuple[int, int], n: int = NUM_QUBITS) -> np.ndarr
 
 
 def project_pair(matrix: np.ndarray, pair: tuple[int, int]) -> tuple[np.ndarray, float]:
-    """Project onto |00> of the pair; returns (renormalized matrix, probability)."""
+    """Project onto |00> of the pair. Returns the heralded state, the
+    renormalized [keep, keep] block of matrix: the state of the other
+    qubits, in ascending order; and the outcome's probability."""
     keep = _pair_projector_mask(pair)
     prob = float(np.real(np.sum(matrix[keep, keep])))
     if prob < POSTSELECTION_EPS:
         raise PostselectionImpossibleError(
             f"heralded outcome on pair {pair} has probability {prob:.3e}"
         )
-    post = np.zeros_like(matrix)
-    block = np.ix_(keep, keep)
-    post[block] = matrix[block] / prob
-    return post, prob
+    return matrix[np.ix_(keep, keep)] / prob, prob

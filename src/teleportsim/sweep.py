@@ -73,6 +73,9 @@ def parse_config(text: str) -> SweepConfig:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line "
+                              f"{raw[key][0]}")
         raw[key] = (lineno, value)
 
     def take(key, conv, default):

@@ -1,4 +1,4 @@
-"""Dense complex-matrix primitives on multi-qubit Hilbert spaces.
+"""Plain-array primitives on multi-qubit density matrices.
 
 Qubit convention: qubits are numbered 1..n and qubit 1 is the most
 significant tensor factor, i.e. basis index b of the 2^n space decodes to
@@ -6,8 +6,6 @@ the bit string (q1 q2 ... qn).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,79 +34,58 @@ def check_sites(sites, n: int) -> tuple[int, ...]:
     return sites
 
 
-@dataclass
-class DensityMatrix:
-    """An n-qubit density matrix: Hermitian, PSD, unit trace."""
-
-    matrix: np.ndarray
-    num_qubits: int
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        d = 2 ** self.num_qubits
-        if self.matrix.shape != (d, d):
-            raise ValueError(
-                f"expected {d}x{d} matrix for {self.num_qubits} qubits, "
-                f"got {self.matrix.shape}"
-            )
-
-    @classmethod
-    def from_pure(cls, psi: np.ndarray) -> "DensityMatrix":
-        psi = np.asarray(psi, dtype=complex)
-        n = int(round(np.log2(psi.size)))
-        if 2 ** n != psi.size:
-            raise ValueError(f"state vector length {psi.size} is not a power of 2")
-        return cls(np.outer(psi, psi.conj()), n)
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.num_qubits
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-    def validate(self, herm_atol=HERMITICITY_ATOL, trace_atol=TRACE_ATOL,
-                 psd_atol=PSD_ATOL) -> None:
-        """Check the density-matrix invariants; raise ValueError on violation."""
-        m = self.matrix
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > herm_atol:
-            raise NonHermitianError(f"not Hermitian: max deviation {herm:.3e}")
-        tr = abs(np.trace(m) - 1.0)
-        if tr > trace_atol:
-            raise ValueError(f"trace deviates from 1 by {tr:.3e}")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -psd_atol:
-            raise ValueError(f"not PSD: min eigenvalue {lo:.3e}")
+def num_qubits(m: np.ndarray) -> int:
+    """The qubit count n of a 2^n x 2^n matrix; ValueError for any other shape."""
+    shape = np.shape(m)
+    n = (shape[-1] - 1).bit_length() if shape else 0
+    if shape != (2 ** n, 2 ** n):
+        raise ValueError(f"expected a 2^n x 2^n matrix, got shape {shape}")
+    return n
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+def check_density_matrix(m: np.ndarray, herm_atol=HERMITICITY_ATOL,
+                         trace_atol=TRACE_ATOL, psd_atol=PSD_ATOL) -> None:
+    """Check that m is a 2^n x 2^n density matrix: Hermitian, unit trace
+    and PSD within the tolerances; raise ValueError on violation."""
+    num_qubits(m)
+    herm = np.max(np.abs(m - m.conj().T))
+    if herm > herm_atol:
+        raise NonHermitianError(f"not Hermitian: max deviation {herm:.3e}")
+    tr = abs(np.trace(m) - 1.0)
+    if tr > trace_atol:
+        raise ValueError(f"trace deviates from 1 by {tr:.3e}")
+    lo = float(np.linalg.eigvalsh(m)[0])
+    if lo < -psd_atol:
+        raise ValueError(f"not PSD: min eigenvalue {lo:.3e}")
+
+
+def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     """Trace out all qubits not in `keep`."""
-    n = rho.num_qubits
+    n = num_qubits(rho)
     keep = check_sites(keep, n)
     if not keep:
         raise ValueError("keep set must be nonempty")
     keep = tuple(sorted(keep))
-    t = rho.matrix.reshape((2,) * (2 * n))
+    t = rho.reshape((2,) * (2 * n))
     row = list(range(n))
     # traced-out qubits share their row index in the column slot
     col = [n + q - 1 if q in keep else q - 1 for q in range(1, n + 1)]
     out = [q - 1 for q in keep] + [n + q - 1 for q in keep]
     reduced = np.einsum(t, row + col, out)
-    return DensityMatrix(reduced.reshape(2 ** len(keep), 2 ** len(keep)), len(keep))
+    return reduced.reshape(2 ** len(keep), 2 ** len(keep))
 
 
-def partial_transpose(rho: DensityMatrix, subsystem_b) -> np.ndarray:
+def partial_transpose(rho: np.ndarray, subsystem_b) -> np.ndarray:
     """Transpose the indices of subsystem B, leaving A untouched."""
-    n = rho.num_qubits
+    n = num_qubits(rho)
     b = check_sites(subsystem_b, n)
     if not b or len(b) == n:
         raise ValueError("subsystem B must be a nonempty proper subset")
-    t = rho.matrix.reshape((2,) * (2 * n))
+    t = rho.reshape((2,) * (2 * n))
     perm = list(range(2 * n))
     for q in b:
         perm[q - 1], perm[n + q - 1] = perm[n + q - 1], perm[q - 1]
-    return np.ascontiguousarray(t.transpose(perm).reshape(rho.dim, rho.dim))
+    return np.ascontiguousarray(t.transpose(perm).reshape(rho.shape))
 
 
 def hermitian_eigenvalues(m: np.ndarray, herm_atol=HERMITICITY_ATOL) -> np.ndarray:

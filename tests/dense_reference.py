@@ -6,7 +6,8 @@ slot's step unitaries into one 2^n x 2^n matrix U, applies rho -> U rho U',
 and then multiplies rho elementwise by the dephasing mask
 exp(-r dt hamming(a, b)). This is the same Trotterized model the package
 computes, written the slow and obvious way. `scrambling_unitary` composes
-the encoder from the packaged schedule lines the same way.
+the encoder from the packaged schedule lines the same way, and
+`initial_state` is the 7-qubit state each input starts from.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from scipy.linalg import expm
 from teleportsim.evolution import (EvolutionConfig, NoiseModel, _check_disjoint,
                                    _slot_edges)
 from teleportsim.gates import ParsedSchedule, entry_segment, load_schedule
-from teleportsim.tensor_core import DensityMatrix, check_sites
+from teleportsim.protocol import NUM_QUBITS, InputState
+from teleportsim.tensor_core import check_sites, num_qubits
 
 
 def embed(op: np.ndarray, sites, n: int) -> np.ndarray:
@@ -72,6 +74,14 @@ def scrambling_unitary(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return u, u.conj()
 
 
+def initial_state(phi: InputState) -> np.ndarray:
+    """rho(0) = |phi><phi| on qubit 1, all other qubits in |0>."""
+    rest = np.zeros(2 ** (NUM_QUBITS - 1), dtype=complex)
+    rest[0] = 1.0
+    psi = np.kron(phi.vector, rest)
+    return np.outer(psi, psi.conj())
+
+
 _HAMMING_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -93,14 +103,14 @@ def dephasing_mask(noise: NoiseModel, dt: float) -> np.ndarray:
     return np.exp(-noise.coherence_rate * dt * hamming_matrix(noise.num_qubits))
 
 
-def dissipative_step(rho: DensityMatrix, noise: NoiseModel, dt: float) -> DensityMatrix:
+def dissipative_step(rho: np.ndarray, noise: NoiseModel, dt: float) -> np.ndarray:
     """One dephasing bin on every qubit; populations are left unchanged."""
-    if noise.num_qubits != rho.num_qubits:
+    if noise.num_qubits != num_qubits(rho):
         raise ValueError(
             f"noise model is for {noise.num_qubits} qubits, state has "
-            f"{rho.num_qubits}"
+            f"{num_qubits(rho)}"
         )
-    return DensityMatrix(rho.matrix * dephasing_mask(noise, dt), rho.num_qubits)
+    return rho * dephasing_mask(noise, dt)
 
 
 def slot_unitary(segments, dt: float, n: int) -> np.ndarray:
@@ -112,10 +122,10 @@ def slot_unitary(segments, dt: float, n: int) -> np.ndarray:
     return u
 
 
-def unitary_step(rho: DensityMatrix, segments, dt: float) -> DensityMatrix:
+def unitary_step(rho: np.ndarray, segments, dt: float) -> np.ndarray:
     """One unitary bin: rho -> U rho U' with U the product of step unitaries."""
-    u = slot_unitary(segments, dt, rho.num_qubits)
-    return DensityMatrix(u @ rho.matrix @ u.conj().T, rho.num_qubits)
+    u = slot_unitary(segments, dt, num_qubits(rho))
+    return u @ rho @ u.conj().T
 
 
 def evolve_array(rho: np.ndarray, segments, noise: NoiseModel,

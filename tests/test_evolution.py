@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from teleportsim.evolution import (EvolutionConfig, NoiseModel,
                                    dephasing_kraus, evolve_array)
 from teleportsim.gates import GateSegment, rz_generator, xx_generator
-from teleportsim.tensor_core import DensityMatrix
+from teleportsim.tensor_core import check_density_matrix
 
 import dense_reference
 import oracle
@@ -18,7 +18,7 @@ def random_density(rng, n):
     d = 2 ** n
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = a @ a.conj().T
-    return DensityMatrix(m / np.trace(m), n)
+    return m / np.trace(m)
 
 
 def kraus_oracle(rho, gamma, dt, n, order=None):
@@ -68,47 +68,47 @@ def test_dissipative_step_matches_kraus_oracle():
     rng = np.random.default_rng(7)
     rho = random_density(rng, 3)
     noise = NoiseModel(0.05, 3)
-    fast = dissipative_step(rho, noise, 0.02).matrix
-    slow = kraus_oracle(rho.matrix, 0.05, 0.02, 3)
+    fast = dissipative_step(rho, noise, 0.02)
+    slow = kraus_oracle(rho, 0.05, 0.02, 3)
     assert np.max(np.abs(fast - slow)) < 1e-14
 
 
 def test_dissipative_step_kraus_order_irrelevant():
     rng = np.random.default_rng(8)
-    rho = random_density(rng, 3).matrix
+    rho = random_density(rng, 3)
     a = kraus_oracle(rho, 0.05, 0.02, 3, order=(1, 2, 3))
     b = kraus_oracle(rho, 0.05, 0.02, 3, order=(3, 1, 2))
     assert np.max(np.abs(a - b)) < 1e-14
 
 
 def test_dissipative_step_fixes_diagonal():
-    diag = DensityMatrix(np.diag([0.5, 0.25, 0.125, 0.125]).astype(complex), 2)
+    diag = np.diag([0.5, 0.25, 0.125, 0.125]).astype(complex)
     out = dissipative_step(diag, NoiseModel(0.06, 2), 0.01)
-    assert np.max(np.abs(out.matrix - diag.matrix)) < 1e-15
+    assert np.max(np.abs(out - diag)) < 1e-15
 
 
 def test_dissipative_step_gamma_zero_is_identity():
     rng = np.random.default_rng(9)
     rho = random_density(rng, 2)
     out = dissipative_step(rho, NoiseModel(0.0, 2), 0.01)
-    assert np.array_equal(out.matrix, rho.matrix)
+    assert np.array_equal(out, rho)
 
 
 def test_dissipative_step_preserves_trace_and_populations():
     rng = np.random.default_rng(10)
     rho = random_density(rng, 3)
     out = dissipative_step(rho, NoiseModel(0.06, 3), 0.01)
-    assert abs(out.trace() - 1) < 1e-12
-    assert np.allclose(np.diag(out.matrix), np.diag(rho.matrix))
+    assert abs(np.trace(out) - 1) < 1e-12
+    assert np.allclose(np.diag(out), np.diag(rho))
 
 
 def test_rate_conventions_differ_by_factor_two():
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    rho = DensityMatrix.from_pure(plus)
+    rho = np.outer(plus, plus.conj())
     kraus = dissipative_step(rho, NoiseModel(0.06, 1, "kraus"), 1.0)
     lind = dissipative_step(rho, NoiseModel(0.06, 1, "lindblad"), 1.0)
-    assert abs(kraus.matrix[0, 1]) == pytest.approx(0.5 * np.exp(-0.06))
-    assert abs(lind.matrix[0, 1]) == pytest.approx(0.5 * np.exp(-0.03))
+    assert abs(kraus[0, 1]) == pytest.approx(0.5 * np.exp(-0.06))
+    assert abs(lind[0, 1]) == pytest.approx(0.5 * np.exp(-0.03))
 
 
 def test_noise_model_validation():
@@ -136,13 +136,13 @@ def test_unitary_step_no_segments_is_identity():
     rng = np.random.default_rng(11)
     rho = random_density(rng, 2)
     out = unitary_step(rho, [], 0.01)
-    assert np.array_equal(out.matrix, rho.matrix)
+    assert np.array_equal(out, rho)
 
 
 def test_unitary_step_rejects_overlapping_sites():
     seg1 = GateSegment(xx_generator(0.3), (1, 2), 0.0, 1.0)
     seg2 = GateSegment(rz_generator(0.3), (2,), 0.0, 1.0)
-    rho = DensityMatrix(np.eye(4) / 4, 2)
+    rho = np.eye(4) / 4
     with pytest.raises(ValueError):
         unitary_step(rho, [seg1, seg2], 0.01)
 
@@ -150,20 +150,20 @@ def test_unitary_step_rejects_overlapping_sites():
 def test_unitary_step_preserves_purity():
     rng = np.random.default_rng(12)
     rho = random_density(rng, 2)
-    before = np.real(np.trace(rho.matrix @ rho.matrix))
+    before = np.real(np.trace(rho @ rho))
     seg = GateSegment(xx_generator(1.1), (1, 2), 0.0, 1.0)
     out = unitary_step(rho, [seg], 0.01)
-    after = np.real(np.trace(out.matrix @ out.matrix))
+    after = np.real(np.trace(out @ out))
     assert abs(before - after) < 1e-12
 
 
 def test_full_segment_reproduces_gate_action():
     seg = GateSegment(rz_generator(np.pi / 2), (1,), 0.0, 1.0)
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    rho = DensityMatrix.from_pure(plus)
-    out = evolve_array(rho.matrix, [seg], NoiseModel(0.0, 1),
+    rho = np.outer(plus, plus.conj())
+    out = evolve_array(rho, [seg], NoiseModel(0.0, 1),
                        EvolutionConfig(0.01), 0.0, 1.0)
-    expect = oracle.rz(np.pi / 2) @ rho.matrix @ oracle.rz(np.pi / 2).conj().T
+    expect = oracle.rz(np.pi / 2) @ rho @ oracle.rz(np.pi / 2).conj().T
     assert np.max(np.abs(out - expect)) < 1e-10
 
 
@@ -171,19 +171,19 @@ def test_evolve_noiseless_preserves_purity():
     rng = np.random.default_rng(13)
     plus = np.array([1, 1j], dtype=complex) / np.sqrt(2)
     psi = np.kron(plus, np.array([1, 0], dtype=complex))
-    rho = DensityMatrix.from_pure(psi)
+    rho = np.outer(psi, psi.conj())
     segs = [GateSegment(xx_generator(0.9), (1, 2), 0.0, 1.0),
             GateSegment(rz_generator(0.4), (1,), 1.0, 1.0)]
-    out = evolve_array(rho.matrix, segs, NoiseModel(0.0, 2),
+    out = evolve_array(rho, segs, NoiseModel(0.0, 2),
                        EvolutionConfig(0.01), 0.0, 2.0)
     assert np.real(np.trace(out @ out)) == pytest.approx(1, abs=1e-10)
 
 
 def test_evolve_empty_schedule_diagonal_fixed_point():
-    diag = DensityMatrix(np.diag([0.5, 0.3, 0.1, 0.1]).astype(complex), 2)
-    out = evolve_array(diag.matrix, [], NoiseModel(0.06, 2),
+    diag = np.diag([0.5, 0.3, 0.1, 0.1]).astype(complex)
+    out = evolve_array(diag, [], NoiseModel(0.06, 2),
                        EvolutionConfig(0.01), 0.0, 1.0)
-    assert np.max(np.abs(out - diag.matrix)) < 1e-14
+    assert np.max(np.abs(out - diag)) < 1e-14
 
 
 def test_evolve_rejects_off_grid_times():
@@ -202,9 +202,9 @@ def test_evolve_cptp_per_step():
     segs = [GateSegment(xx_generator(0.8), (1, 2), 0.0, 1.0)]
     noise = NoiseModel(0.06, 2)
     cfg = EvolutionConfig(0.01)
-    out = DensityMatrix(evolve_array(rho.matrix, segs, noise, cfg, 0.0, 1.0), 2)
-    assert abs(out.trace() - 1) < 1e-12
-    out.validate()
+    out = evolve_array(rho, segs, noise, cfg, 0.0, 1.0)
+    assert abs(np.trace(out) - 1) < 1e-12
+    check_density_matrix(out)
 
 
 @settings(max_examples=15, deadline=None)
@@ -212,8 +212,8 @@ def test_evolve_cptp_per_step():
 def test_dissipative_step_is_cptp(gamma, seed):
     rho = random_density(np.random.default_rng(seed), 2)
     out = dissipative_step(rho, NoiseModel(gamma, 2), 0.01)
-    assert abs(out.trace() - 1) < 1e-12
-    out.validate()
+    assert abs(np.trace(out) - 1) < 1e-12
+    check_density_matrix(out)
 
 
 def random_layout(rng, n, dt):
@@ -247,7 +247,7 @@ def test_evolve_array_matches_dense_reference(n, seed, gamma, convention, dt):
     t_mid = dt * rng.integers(1, round(t_end / dt))
     noise = NoiseModel(gamma, n, convention)
     cfg = EvolutionConfig(dt)
-    batch = np.stack([random_density(rng, n).matrix for _ in range(2)])
+    batch = np.stack([random_density(rng, n) for _ in range(2)])
     for t_from, t_to in ((0.0, t_end), (0.0, t_mid), (t_mid, t_end)):
         fast = evolve_array(batch, segments, noise, cfg, t_from, t_to)
         slow = dense_reference.evolve_array(batch, segments, noise, cfg,

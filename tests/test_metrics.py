@@ -10,38 +10,39 @@ from teleportsim.metrics import (average_over_inputs, cut_negativities,
                                  run_protocol, total_negativity)
 from teleportsim.protocol import (EncodingKind, MEASUREMENT_PAIRS,
                                   PAULI_EIGENSTATES, project_pair)
-from teleportsim.tensor_core import DensityMatrix, partial_trace
+from teleportsim.tensor_core import partial_trace
 
 import oracle
+from dense_reference import embed
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+BELL_RHO = np.outer(BELL, BELL.conj())
 CFG = EvolutionConfig(0.01)
 
 
 def test_fidelity_endpoints():
     phi = PAULI_EIGENSTATES[0]  # X+
     perp = PAULI_EIGENSTATES[1]  # X-
-    assert fidelity(DensityMatrix.from_pure(phi.vector), phi) == pytest.approx(1)
-    assert fidelity(DensityMatrix.from_pure(perp.vector), phi) == pytest.approx(0)
-    mixed = DensityMatrix(np.eye(2) / 2, 1)
-    assert fidelity(mixed, phi) == pytest.approx(0.5)
+    v, w = phi.vector, perp.vector
+    assert fidelity(np.outer(v, v.conj()), phi) == pytest.approx(1)
+    assert fidelity(np.outer(w, w.conj()), phi) == pytest.approx(0)
+    assert fidelity(np.eye(2) / 2, phi) == pytest.approx(0.5)
 
 
 def test_fidelity_rejects_multiqubit():
     with pytest.raises(ValueError):
-        fidelity(DensityMatrix(np.eye(4) / 4, 2), PAULI_EIGENSTATES[0])
+        fidelity(np.eye(4) / 4, PAULI_EIGENSTATES[0])
 
 
 def test_purity_endpoints():
-    assert purity(DensityMatrix.from_pure(BELL)) == pytest.approx(1)
-    assert purity(DensityMatrix(np.eye(128) / 128, 7)) == pytest.approx(1 / 128)
+    assert purity(BELL_RHO) == pytest.approx(1)
+    assert purity(np.eye(128) / 128) == pytest.approx(1 / 128)
 
 
 def test_log_negativity_bell_pair_is_one():
-    rho = DensityMatrix.from_pure(BELL)
-    assert log_negativity(rho, (2,)) == pytest.approx(1, abs=1e-12)
+    assert log_negativity(BELL_RHO, (2,)) == pytest.approx(1, abs=1e-12)
     # natural-log convention scales by ln 2
-    assert log_negativity(rho, (2,), log_base=np.e) == pytest.approx(np.log(2))
+    assert log_negativity(BELL_RHO, (2,), log_base=np.e) == pytest.approx(np.log(2))
 
 
 def test_log_negativity_zero_for_separable_mixtures():
@@ -55,14 +56,14 @@ def test_log_negativity_zero_for_separable_mixtures():
             a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
             v = np.kron(a, b)
             rho += p * np.outer(v, v.conj())
-        val = log_negativity(DensityMatrix(rho, 2), (2,))
+        val = log_negativity(rho, (2,))
         assert val == pytest.approx(0, abs=1e-10)
 
 
 def test_total_negativity_product_state_is_zero():
     v = np.zeros(128, dtype=complex)
     v[0] = 1
-    assert total_negativity(DensityMatrix.from_pure(v)) == pytest.approx(0)
+    assert total_negativity(np.outer(v, v.conj())) == pytest.approx(0)
 
 
 def test_total_negativity_of_three_bell_pairs_checkpoint():
@@ -70,7 +71,7 @@ def test_total_negativity_of_three_bell_pairs_checkpoint():
     counts pairs crossing each contiguous cut: 0+1+2+1+0+1 = 5."""
     ref = oracle.run("swap", 0.0, np.array([1, 0], dtype=complex))
     psi = ref["t1"]
-    rho = DensityMatrix.from_pure(psi)
+    rho = np.outer(psi, psi.conj())
     assert total_negativity(rho) == pytest.approx(5, abs=1e-10)
     # cross-check against the pure-state Schmidt formula per cut
     assert total_negativity(rho) == pytest.approx(
@@ -89,14 +90,13 @@ def test_delta_E_values_at_alpha_extremes(record):
 def test_delta_E_trajectory_api():
     """Delta E_U of the X+ input alone, from its t1 and t2 states."""
     rho1, rho2, _ = run_protocol(EncodingKind.SWAP, 1.0, 0.0, CFG)
-    delta_u = (total_negativity(DensityMatrix(rho2[0], 7))
-               - total_negativity(DensityMatrix(rho1[0], 7)))
+    delta_u = total_negativity(rho2[0]) - total_negativity(rho1[0])
     assert delta_u == pytest.approx(6, abs=2e-2)
 
 
 def test_pairwise_total_negativity_differs_from_cut_sum():
     ref = oracle.run("swap", 0.0, np.array([1, 0], dtype=complex))
-    rho = DensityMatrix.from_pure(ref["t1"])
+    rho = np.outer(ref["t1"], ref["t1"].conj())
     # neighbor-pair reduced states: only (3,4) and (6,7) are entangled pairs
     pairwise = sum(log_negativity(partial_trace(rho, (k, k + 1)), (2,))
                    for k in range(1, 7))
@@ -133,15 +133,16 @@ def test_fidelity_monotone_in_alpha_noiseless(record):
 def test_each_pauli_pair_teleports_perfectly_noiseless():
     rho3 = run_protocol(EncodingKind.SCRAMBLING, 1.0, 0.0, CFG)[2]
     for phi, rho in zip(PAULI_EIGENSTATES, rho3):
-        post, _ = project_pair(rho, (3, 4))
-        rho7 = partial_trace(DensityMatrix(post, 7), (7,))
+        sigma, _ = project_pair(rho, (3, 4))
+        # qubit 7 is the last of the heralded qubits 1, 2, 5, 6, 7
+        rho7 = partial_trace(sigma, (5,))
         assert fidelity(rho7, phi) == pytest.approx(1, abs=1e-3)
 
 
 def assert_cuts_match(rho, sigma, sites, log_base):
     """cut_negativities on sigma equals the cuts of the 7-qubit rho."""
-    full = [log_negativity(DensityMatrix(rho, 7), tuple(range(k + 1, 8)),
-                           log_base) for k in range(1, 7)]
+    full = [log_negativity(rho, tuple(range(k + 1, 8)), log_base)
+            for k in range(1, 7)]
     fast = cut_negativities(sigma, sites, 7, log_base)
     assert max(full) > 0.1
     assert np.max(np.abs(np.subtract(fast, full))) < 1e-12
@@ -160,13 +161,13 @@ def test_projected_cut_negativities_match_full_cuts(pair, rank):
     kept = tuple(q for q in range(1, 8) if q not in pair)
     for log_base in (2, np.e):
         # the t3 shape: |00><00| on the measured pair times a 5-qubit state
-        post, _ = project_pair(random_state(rng, 128, rank), pair)
-        sigma = partial_trace(DensityMatrix(post, 7), kept)
+        sigma, _ = project_pair(random_state(rng, 128, rank), pair)
+        post = embed(np.kron(np.diag([1, 0, 0, 0]), sigma), (*pair, *kept), 7)
         assert_cuts_match(post, sigma, kept, log_base)
         # the t1 shape: a mixed qubit 1 times a 6-qubit state
         rest = random_state(rng, 64, rank)
         rho = np.kron(random_state(rng, 2, 2), rest)
-        assert_cuts_match(rho, DensityMatrix(rest, 6), range(2, 8), log_base)
+        assert_cuts_match(rho, rest, range(2, 8), log_base)
 
 
 @pytest.mark.parametrize("kind", list(EncodingKind))
@@ -180,8 +181,7 @@ def test_t1_negativity_once_per_point_is_the_input_mean(kind, rate_convention):
         for log_base in (2, np.e):
             rec = average_over_inputs(kind, 0.6, gamma, cfg, rate_convention,
                                       log_base)
-            mean = np.mean([total_negativity(DensityMatrix(r, 7), log_base)
-                            for r in rho1])
+            mean = np.mean([total_negativity(r, log_base) for r in rho1])
             assert abs(rec.neg_total_t1 - mean) < 1e-12
 
 
@@ -199,7 +199,7 @@ def test_average_over_inputs_reduces_run_protocol(kind):
                                             measurement_pair=pair)
             assert rec.failed_inputs == []
             mean1, mean2 = (
-                float(np.mean([total_negativity(DensityMatrix(r, 7)) for r in b]))
+                float(np.mean([total_negativity(r) for r in b]))
                 for b in (rho1, rho2))
             assert abs(rec.neg_total_t1 - mean1) <= 1e-13
             assert abs(rec.neg_total_t2 - mean2) <= 1e-13
@@ -229,11 +229,10 @@ def test_t2_states_obey_the_parity_relations(kind, rate_convention):
                 assert np.max(np.abs(rho2[minus] - flipped)) <= 1e-14
             for z in rho2[4:]:
                 assert np.max(np.abs(z[mixed])) <= 1e-14
-                rho = DensityMatrix(z, 7)
                 for log_base in (2, np.e):
-                    full = [log_negativity(rho, tuple(range(k + 1, 8)), log_base)
+                    full = [log_negativity(z, tuple(range(k + 1, 8)), log_base)
                             for k in range(1, 7)]
-                    blocks = metrics._parity_cut_negativities(rho, log_base)
+                    blocks = metrics._parity_cut_negativities(z, log_base)
                     assert np.max(np.abs(np.subtract(blocks, full))) <= 1e-12
 
 

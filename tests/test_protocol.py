@@ -9,12 +9,12 @@ from teleportsim.protocol import (EncodingKind, InputState, MEASUREMENT_PAIRS,
                                   PAULI_EIGENSTATES,
                                   PostselectionImpossibleError,
                                   ProtocolSchedule, build_schedule,
-                                  initial_state, project_pair)
-from teleportsim.tensor_core import DensityMatrix, partial_trace
+                                  project_pair)
+from teleportsim.tensor_core import check_density_matrix, partial_trace
 
 import dense_reference
 import oracle
-from dense_reference import embed
+from dense_reference import embed, initial_state
 
 CFG = EvolutionConfig(0.01)
 
@@ -39,11 +39,11 @@ def test_initial_state_structure():
     rho = initial_state(PAULI_EIGENSTATES[4])  # Z+
     expect = np.zeros((128, 128))
     expect[0, 0] = 1
-    assert np.array_equal(rho.matrix, expect)
+    assert np.array_equal(rho, expect)
     rho = initial_state(PAULI_EIGENSTATES[0])  # X+
     red = partial_trace(rho, (1,))
-    assert np.allclose(red.matrix, 0.5 * np.array([[1, 1], [1, 1]]))
-    assert np.real(np.trace(rho.matrix @ rho.matrix)) == pytest.approx(1)
+    assert np.allclose(red, 0.5 * np.array([[1, 1], [1, 1]]))
+    assert np.real(np.trace(rho @ rho)) == pytest.approx(1)
 
 
 def test_build_schedule_checkpoints_and_windows():
@@ -118,7 +118,7 @@ def test_bell_measurement_on_prepared_bell_pair():
     psi = t.reshape(-1)
     psi = oracle.apply_gate(psi, oracle.cnot(), (3, 4))
     psi = oracle.apply_gate(psi, oracle.had(), (3,))
-    post, prob = project_pair(DensityMatrix.from_pure(psi).matrix, (3, 4))
+    post, prob = project_pair(np.outer(psi, psi.conj()), (3, 4))
     assert prob == pytest.approx(1, abs=1e-12)
     assert np.trace(post) == pytest.approx(1, abs=1e-12)
 
@@ -132,7 +132,7 @@ def test_bell_measurement_impossible_outcome():
     psi = oracle.apply_gate(psi, oracle.cnot(), (3, 4))
     psi = oracle.apply_gate(psi, oracle.had(), (3,))
     with pytest.raises(PostselectionImpossibleError):
-        project_pair(DensityMatrix.from_pure(psi).matrix, (3, 4))
+        project_pair(np.outer(psi, psi.conj()), (3, 4))
 
 
 def test_run_protocol_checkpoints_valid_and_deterministic():
@@ -140,7 +140,7 @@ def test_run_protocol_checkpoints_valid_and_deterministic():
     assert all(r.shape == (6, 128, 128) for r in rhos)
     post, prob = project_pair(rhos[2][0], (3, 4))  # X+
     for rho in (rhos[0][0], rhos[1][0], rhos[2][0], post):
-        DensityMatrix(rho, 7).validate()
+        check_density_matrix(rho)
     post2, prob2 = project_pair(
         run_protocol(EncodingKind.SCRAMBLING, 0.8, 0.03, CFG)[2][0], (3, 4))
     assert np.array_equal(post, post2)
@@ -154,7 +154,7 @@ def test_run_protocol_matches_dense_per_input_evolution(kind, rate_convention):
     equals that input's own evolution by the dense stepper of
     tests/dense_reference.py at t1, t2 and t3."""
     cfg = EvolutionConfig(0.25)
-    batch = np.stack([initial_state(phi).matrix for phi in PAULI_EIGENSTATES])
+    batch = np.stack([initial_state(phi) for phi in PAULI_EIGENSTATES])
     for gamma in (0.0, 0.03, 0.5):
         noise = NoiseModel(gamma, 7, rate_convention)
         # the measurement pair moves only the gates after t2
@@ -179,8 +179,10 @@ def test_noiseless_matches_state_vector_oracle(kind):
     rho1, rho2, rho3 = (r[2] for r in run_protocol(kind, 0.7, 0.0, CFG))
     post, prob = project_pair(rho3, (3, 4))
     ref = oracle.run(kind.value, 0.7, phi.vector)
+    # the heralded state: amplitudes with qubits 3 and 4 in |00>
+    herald = ref["post"].reshape((2,) * 7)[:, :, 0, 0].reshape(-1)
     for got, psi in [(rho1, ref["t1"]), (rho2, ref["t2"]), (rho3, ref["t3"]),
-                     (post, ref["post"])]:
+                     (post, herald)]:
         expect = np.outer(psi, psi.conj())
         assert np.linalg.norm(got - expect) < 1e-6
     assert prob == pytest.approx(ref["prob"], abs=1e-8)
@@ -196,6 +198,22 @@ def test_projection_preserves_purity_of_pure_states():
     rho3 = run_protocol(EncodingKind.SWAP, 0.4, 0.0, CFG)[2][5]  # Z-
     post, _ = project_pair(rho3, (3, 4))
     assert np.real(np.trace(post @ post)) == pytest.approx(1, abs=1e-10)
+
+
+@pytest.mark.parametrize("pair", MEASUREMENT_PAIRS)
+def test_project_pair_returns_the_heralded_block(pair):
+    """The heralded state is the |00> block of the pair: the projected and
+    renormalized 7-qubit state is |00><00| on the pair times it."""
+    rng = np.random.default_rng(pair[0])
+    a = rng.normal(size=(128, 3)) + 1j * rng.normal(size=(128, 3))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+    sigma, prob = project_pair(rho, pair)
+    p00 = np.diag([1, 0, 0, 0])
+    proj = embed(p00, pair, 7)
+    assert prob == pytest.approx(np.trace(proj @ rho).real, abs=1e-14)
+    kept = [q for q in range(1, 8) if q not in pair]
+    post = embed(np.kron(p00, sigma), (*pair, *kept), 7)
+    assert np.max(np.abs(post - proj @ rho @ proj / prob)) < 1e-14
 
 
 def test_measurement_pairs_constant():

@@ -316,6 +316,21 @@ def test_repeated_protocol_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_repeated_key_is_rejected(tmp_path, capsys):
+    """A key given twice is an error naming both lines, not a silent last-wins."""
+    with pytest.raises(ConfigError, match=r"line 3: key 'dt' repeats line 1"):
+        parse_config("dt = 0.25\nprotocols = swap\ndt = 0.04\n")
+    with pytest.raises(ConfigError, match=r"line 2: key 'alpha_count' repeats line 1"):
+        parse_config("alpha_count = 3\nalpha_count = 1\n")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("dt = 0.25\nprotocols = swap\nalpha_count = 1\n"
+                        "gamma_count = 1\ndt = 0.04\n")
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "ERROR config-invalid line 5: key 'dt' repeats line 1" in (
+        capsys.readouterr().err)
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 @pytest.mark.parametrize("line", ["dt = nan", "gamma_max = inf",
                                   "alpha_max = nan", "log_base = nan"])
 def test_non_finite_numbers_are_rejected(tmp_path, capsys, line):
