@@ -163,10 +163,22 @@ class ParsedSchedule:
 _GATE_ARITY = {"XX": 2, "RZ": 1, "CNOT": 2, "HAD": 1, "PSWAP": 2}
 
 
+def _finite(token: str, field: str, lineno: int) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ScheduleError(f"line {lineno}: {field} must be a finite number, "
+                            f"got {token!r}")
+    return value
+
+
 def parse_schedule_text(text: str) -> ParsedSchedule:
-    """Parse a schedule transcription file."""
+    """Parse a schedule transcription file; a malformed line raises
+    ScheduleError naming it."""
     entries = []
-    times = {}
+    times: dict[str, tuple[int, float]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -175,7 +187,10 @@ def parse_schedule_text(text: str) -> ParsedSchedule:
         if tok[0] == "TIME":
             if len(tok) != 3 or tok[1] not in ("t1", "t2", "t3"):
                 raise ScheduleError(f"line {lineno}: malformed TIME directive")
-            times[tok[1]] = float(tok[2])
+            if tok[1] in times:
+                raise ScheduleError(f"line {lineno}: TIME {tok[1]} repeats line "
+                                    f"{times[tok[1]][0]}")
+            times[tok[1]] = (lineno, _finite(tok[2], f"TIME {tok[1]}", lineno))
             continue
         if tok[0] != "GATE":
             raise ScheduleError(f"line {lineno}: expected GATE or TIME, got {tok[0]!r}")
@@ -185,19 +200,27 @@ def parse_schedule_text(text: str) -> ParsedSchedule:
         name = tok[1]
         if name not in _GATE_ARITY:
             raise ScheduleError(f"line {lineno}: unknown gate {name!r}")
-        sites = tuple(int(s) for s in tok[3].split(","))
+        try:
+            sites = tuple(int(s) for s in tok[3].split(","))
+        except ValueError:
+            sites = ()
+        if not sites or min(sites) < 1 or len(set(sites)) != len(sites):
+            raise ScheduleError(f"line {lineno}: SITES must be distinct positive "
+                                f"integers, got {tok[3]!r}")
         if len(sites) != _GATE_ARITY[name]:
             raise ScheduleError(
                 f"line {lineno}: {name} takes {_GATE_ARITY[name]} site(s), "
                 f"got {sites}"
             )
-        entries.append(
-            ScheduleEntry(name, sites, float(tok[5]), float(tok[7]), tok[9])
-        )
+        start = _finite(tok[5], "START", lineno)
+        duration = _finite(tok[7], "DUR", lineno)
+        if duration <= 0:
+            raise ScheduleError(f"line {lineno}: DUR must be positive, got {tok[7]!r}")
+        entries.append(ScheduleEntry(name, sites, start, duration, tok[9]))
     missing = {"t1", "t2", "t3"} - set(times)
     if missing:
         raise ScheduleError(f"missing TIME directives: {sorted(missing)}")
-    return ParsedSchedule(tuple(entries), times["t1"], times["t2"], times["t3"])
+    return ParsedSchedule(tuple(entries), *(times[t][1] for t in ("t1", "t2", "t3")))
 
 
 def load_schedule(kind: str) -> ParsedSchedule:

@@ -73,8 +73,9 @@ class ProtocolSchedule:
         if not 0 < self.t1 < self.t2 < self.t3:
             raise ValueError("checkpoints must satisfy 0 < t1 < t2 < t3")
         for seg in self.segments:
-            if (seg.start_time < -gates.SCHEDULE_TIME_ATOL
-                    or seg.end_time > self.t3 + gates.SCHEDULE_TIME_ATOL):
+            # written so that a NaN time fails it
+            if not (-gates.SCHEDULE_TIME_ATOL <= seg.start_time
+                    and seg.end_time <= self.t3 + gates.SCHEDULE_TIME_ATOL):
                 raise ValueError(
                     f"segment on sites {seg.sites} lies outside [0, t3]"
                 )

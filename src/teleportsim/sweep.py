@@ -111,12 +111,12 @@ def parse_config(text: str) -> SweepConfig:
         return value
 
     cfg.protocols = take("protocols", parse_protocols, cfg.protocols)
-    a_min = take("alpha_min", parse_finite, 0.0)
-    a_max = take("alpha_max", parse_finite, 1.0)
-    a_cnt = take("alpha_count", int, 51)
-    g_min = take("gamma_min", parse_finite, 0.0)
-    g_max = take("gamma_max", parse_finite, 0.06)
-    g_cnt = take("gamma_count", int, 31)
+    a_min = take("alpha_min", parse_finite, cfg.alpha_grid.min)
+    a_max = take("alpha_max", parse_finite, cfg.alpha_grid.max)
+    a_cnt = take("alpha_count", int, cfg.alpha_grid.count)
+    g_min = take("gamma_min", parse_finite, cfg.gamma_grid.min)
+    g_max = take("gamma_max", parse_finite, cfg.gamma_grid.max)
+    g_cnt = take("gamma_count", int, cfg.gamma_grid.count)
     if not (0 <= a_min <= a_max <= 1):
         raise ConfigError(
             f"alpha grid [{a_min}, {a_max}] must lie within [0, 1] "
@@ -177,23 +177,17 @@ def grid_points(cfg: SweepConfig) -> list[tuple[EncodingKind, float, float]]:
 def _format_row(rec: MetricsRecord | None, point, cfg: SweepConfig,
                 error: str = "") -> str:
     kind, alpha, gamma = point
+    # the metric columns are named after the MetricsRecord fields they hold
+    metrics = COLUMNS[3:13]
     if rec is None:
-        vals = [""] * 10
+        vals = [""] * len(metrics)
     else:
-        vals = [
-            f"{v:.12g}" for v in (
-                rec.fidelity_avg, rec.purity_avg, rec.purity_of_mean,
-                rec.neg_cut34, rec.neg_total_t1, rec.neg_total_t2,
-                rec.neg_total_t3, rec.delta_E_U, rec.delta_E_M,
-                rec.success_prob_avg,
-            )
-        ]
+        vals = [f"{getattr(rec, c):.12g}" for c in metrics]
         if rec.failed_inputs:
             error = "skipped_inputs:" + "+".join(rec.failed_inputs)
-    base = "2" if cfg.log_base == 2 else "e"
     return ",".join(
         [kind.value, f"{alpha:.12g}", f"{gamma:.12g}", *vals,
-         f"{cfg.dt:.12g}", base, cfg.rate_convention, error]
+         f"{cfg.dt:.12g}", _base_label(cfg), cfg.rate_convention, error]
     )
 
 
@@ -210,8 +204,11 @@ def _compute_row(args) -> str:
         return _format_row(None, point, cfg, error=f"{type(exc).__name__}:{exc}")
 
 
+def _base_label(cfg: SweepConfig) -> str:
+    return "2" if cfg.log_base == 2 else "e"
+
+
 def _header_lines(cfg: SweepConfig) -> list[str]:
-    base = "2" if cfg.log_base == 2 else "e"
     return [
         "# teleportation-protocol sweep",
         f"# protocols={','.join(k.value for k in cfg.protocols)}",
@@ -219,20 +216,23 @@ def _header_lines(cfg: SweepConfig) -> list[str]:
         f"{cfg.alpha_grid.count}",
         f"# gamma_grid={cfg.gamma_grid.min},{cfg.gamma_grid.max},"
         f"{cfg.gamma_grid.count}",
-        f"# dt={cfg.dt} log_base={base} rate_convention={cfg.rate_convention}",
+        f"# dt={cfg.dt} log_base={_base_label(cfg)} "
+        f"rate_convention={cfg.rate_convention}",
         "# alpha, gamma dimensionless; gamma in units of inverse gate time",
         ",".join(COLUMNS),
     ]
 
 
 def worker_count() -> int:
-    """Worker processes for a sweep: SIM_THREADS if set, else the CPU count."""
+    """Worker processes for a sweep: the CPU count, or SIM_THREADS if that is
+    set and smaller."""
+    cpus = os.cpu_count() or 1
     env = os.environ.get("SIM_THREADS")
     if not env:
-        return os.cpu_count() or 1
+        return cpus
     if not env.strip().isdecimal() or int(env) < 1:
         raise ConfigError(f"SIM_THREADS must be a positive integer, got {env!r}")
-    return int(env)
+    return min(int(env), cpus)
 
 
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -320,103 +320,74 @@ def _write_rows(out_path: str, lines: list[str], mode: str = "a") -> None:
         fh.write("".join(line + "\n" for line in lines))
 
 
-def _load_records(rows: list[str]) -> list[dict]:
-    records = []
-    for row in rows:
-        parts = row.split(",")
-        rec = {"protocol": parts[0], "alpha": float(parts[1]),
-               "gamma": float(parts[2])}
-        for name, value in zip(COLUMNS[3:13], parts[3:13]):
-            rec[name] = float(value) if value else float("nan")
-        records.append(rec)
-    return records
-
-
-def _pick(records, protocol, alpha=None, gamma=None):
-    out = []
-    for r in records:
-        if r["protocol"] != protocol:
-            continue
-        if alpha is not None and abs(r["alpha"] - alpha) > GRID_MATCH_ATOL:
-            continue
-        if gamma is not None and abs(r["gamma"] - gamma) > GRID_MATCH_ATOL:
-            continue
-        out.append(r)
-    return out
-
-
-def _panel_table(records, protocol, metric, fixed, cuts) -> list[str]:
-    """Lines of metric against the free grid axis, one column per value of
-    the fixed axis ('alpha' or 'gamma') in cuts."""
-    free = "gamma" if fixed == "alpha" else "alpha"
-    columns = []
-    xs = None
-    for c in cuts:
-        sel = sorted(_pick(records, protocol, **{fixed: c}), key=lambda r: r[free])
-        if not sel:
-            raise ValueError(
-                f"missing grid coverage: protocol={protocol} {fixed}={c}"
-            )
-        cur = [r[free] for r in sel]
-        if xs is None:
-            xs = cur
-        elif len(cur) != len(xs):
-            raise ValueError(f"inconsistent {free} coverage across {fixed} cuts")
-        columns.append([r[metric] for r in sel])
-    header = f"{free}," + ",".join(f"{metric}@{fixed}={c:.12g}" for c in cuts)
-    lines = [header]
-    for i, x in enumerate(xs):
-        lines.append(",".join([f"{x:.12g}"] + [f"{c[i]:.12g}" for c in columns]))
-    return lines
-
-
-FIGURE_IDS = ("fig2", "fig3", "fig4", "fig7")
+# each figure's (protocols, metrics, fixed axis, cuts): a panel per protocol
+# and metric, plotting the metric against the free axis, a column per cut
 _CUT_GAMMAS = (0.0, 0.038, 0.06)
 _CUT_ALPHAS = (0.0, 0.5, 1.0)
+_FIGURES = {
+    "fig2": (("scrambling",), ("fidelity_avg", "purity_avg", "neg_cut34"),
+             "gamma", _CUT_GAMMAS),
+    "fig3": (("swap",), ("fidelity_avg", "purity_avg", "neg_cut34"),
+             "gamma", _CUT_GAMMAS),
+    "fig4": (("scrambling", "swap"), ("delta_E_U", "delta_E_M"),
+             "gamma", _CUT_GAMMAS),
+    "fig7": (("scrambling", "swap"), ("fidelity_avg", "purity_avg"),
+             "alpha", _CUT_ALPHAS),
+}
+FIGURE_IDS = tuple(_FIGURES)
 
 
-def figure_panels(rows: list[str], figure_id: str) -> list[tuple[str, list[str]]]:
-    """(file name, lines) of each panel of one figure; raises ValueError if
-    the rows miss a grid cut the figure plots."""
-    if figure_id not in FIGURE_IDS:
-        raise ValueError(f"figure must be one of {FIGURE_IDS}")
-    records = _load_records(rows)
-    panels: list[tuple[str, list[str]]] = []
-    if figure_id in ("fig2", "fig3"):
-        protocol = "scrambling" if figure_id == "fig2" else "swap"
-        for metric in ("fidelity_avg", "purity_avg", "neg_cut34"):
-            panels.append((
-                f"{figure_id}_{metric}.csv",
-                _panel_table(records, protocol, metric, "gamma", _CUT_GAMMAS),
-            ))
-    elif figure_id == "fig4":
-        for protocol in ("scrambling", "swap"):
-            for metric in ("delta_E_U", "delta_E_M"):
-                panels.append((
-                    f"fig4_{metric}_{protocol}.csv",
-                    _panel_table(records, protocol, metric, "gamma",
-                                 _CUT_GAMMAS),
-                ))
-    else:
-        for protocol in ("scrambling", "swap"):
-            for metric in ("fidelity_avg", "purity_avg"):
-                panels.append((
-                    f"fig7_{metric}_{protocol}.csv",
-                    _panel_table(records, protocol, metric, "alpha",
-                                 _CUT_ALPHAS),
-                ))
-    return panels
+def _cut_indices(cfg: SweepConfig, protocol: str, fixed: str, cut: float) -> list[int]:
+    """Grid indices of the protocol's points whose fixed axis ('alpha' or
+    'gamma') is cut; raises ValueError if there are none."""
+    axis = 1 if fixed == "alpha" else 2
+    hits = [i for i, point in enumerate(grid_points(cfg))
+            if point[0].value == protocol
+            and abs(point[axis] - cut) <= GRID_MATCH_ATOL]
+    if not hits:
+        raise ValueError(f"missing grid coverage: protocol={protocol} {fixed}={cut}")
+    return hits
 
 
 def check_figure_coverage(cfg: SweepConfig, figure_id: str) -> None:
     """Raise ValueError if the grid of cfg misses a cut the figure plots."""
-    figure_panels([_format_row(None, p, cfg) for p in grid_points(cfg)], figure_id)
+    if figure_id not in _FIGURES:
+        raise ValueError(f"figure must be one of {FIGURE_IDS}")
+    protocols, _, fixed, cuts = _FIGURES[figure_id]
+    for protocol in protocols:
+        for cut in cuts:
+            _cut_indices(cfg, protocol, fixed, cut)
+
+
+def figure_panels(rows: list[str], figure_id: str,
+                  cfg: SweepConfig) -> list[tuple[str, list[str]]]:
+    """(file name, lines) of each panel of one figure, cut from the grid-ordered
+    rows of run_sweep(cfg); an empty field reads nan. Raises ValueError if the
+    grid misses a cut the figure plots or the rows are not one per point."""
+    check_figure_coverage(cfg, figure_id)
+    if len(rows) != len(grid_points(cfg)):
+        raise ValueError(f"{len(rows)} rows for {len(grid_points(cfg))} grid points")
+    protocols, metrics, fixed, cuts = _FIGURES[figure_id]
+    free = "gamma" if fixed == "alpha" else "alpha"
+    fields = [dict(zip(COLUMNS, row.split(","))) for row in rows]
+    panels = []
+    for protocol in protocols:
+        # each cut's rows, in free-axis order
+        columns = [[fields[i] for i in _cut_indices(cfg, protocol, fixed, cut)]
+                   for cut in cuts]
+        suffix = f"_{protocol}" if len(protocols) > 1 else ""
+        for metric in metrics:
+            lines = [f"{free}," + ",".join(f"{metric}@{fixed}={c:.12g}" for c in cuts)]
+            lines += [",".join([point[0][free]] + [p[metric] or "nan" for p in point])
+                      for point in zip(*columns)]
+            panels.append((f"{figure_id}_{metric}{suffix}.csv", lines))
+    return panels
 
 
 def emit_figure_data(rows: list[str], figure_id: str, out_dir: str,
                      cfg: SweepConfig) -> list[str]:
     """Write plot-ready panel files for one figure; returns the file paths."""
-    panels = figure_panels(rows, figure_id)
+    panels = figure_panels(rows, figure_id, cfg)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for name, lines in panels:

@@ -15,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from teleportsim.evolution import (EvolutionConfig, NoiseModel, _check_disjoint,
-                                   _slot_edges)
+from teleportsim.evolution import EvolutionConfig, NoiseModel
 from teleportsim.gates import ParsedSchedule, entry_segment, load_schedule
 from teleportsim.protocol import NUM_QUBITS, InputState
 from teleportsim.tensor_core import check_sites, num_qubits
@@ -115,7 +114,9 @@ def dissipative_step(rho: np.ndarray, noise: NoiseModel, dt: float) -> np.ndarra
 
 def slot_unitary(segments, dt: float, n: int) -> np.ndarray:
     """Product of the embedded per-segment step unitaries for one time slot."""
-    _check_disjoint(segments)
+    sites = [q for seg in segments for q in seg.sites]
+    if len(set(sites)) != len(sites):
+        raise ValueError(f"concurrent segments share a qubit: {sorted(sites)}")
     u = np.eye(2 ** n, dtype=complex)
     for seg in segments:
         u = embed(expm(-1j * seg.generator * dt), seg.sites, n) @ u
@@ -130,20 +131,26 @@ def unitary_step(rho: np.ndarray, segments, dt: float) -> np.ndarray:
 
 def evolve_array(rho: np.ndarray, segments, noise: NoiseModel,
                  cfg: EvolutionConfig, t_from: float, t_to: float) -> np.ndarray:
-    """Batched dense evolution; rho has shape (..., 2^n, 2^n)."""
+    """Batched dense evolution; rho has shape (..., 2^n, 2^n).
+
+    Each bin [t, t + dt) applies the segments active at its start t, found
+    bin by bin: start <= t < end, compared at the bin's midpoint as schedule
+    times lie on the step grid."""
     if t_from >= t_to:
         raise ValueError(f"need t_from < t_to, got {t_from} >= {t_to}")
-    n = noise.num_qubits
-    mask = dephasing_mask(noise, cfg.dt) if noise.gamma > 0 else None
-    edges = _slot_edges(segments, t_from, t_to)
-    for a, b in zip(edges, edges[1:]):
-        nsteps = cfg.steps_between(a, b)
-        active = [s for s in segments if s.active_at(a)]
-        u = slot_unitary(active, cfg.dt, n)
-        udag = u.conj().T
-        for _ in range(nsteps):
-            if active:
-                rho = u @ rho @ udag
-            if mask is not None:
-                rho = rho * mask
+    n, dt = noise.num_qubits, cfg.dt
+    mask = dephasing_mask(noise, dt) if noise.gamma > 0 else None
+    unitaries = {}  # (U, U') per set of active segments
+    for k in range(round((t_to - t_from) / dt)):
+        t = t_from + k * dt
+        active = tuple(i for i, s in enumerate(segments)
+                       if s.start_time < t + dt / 2 < s.start_time + s.duration)
+        if active:
+            if active not in unitaries:
+                u = slot_unitary([segments[i] for i in active], dt, n)
+                unitaries[active] = (u, u.conj().T)
+            u, udag = unitaries[active]
+            rho = u @ rho @ udag
+        if mask is not None:
+            rho = rho * mask
     return rho

@@ -208,6 +208,49 @@ def test_parse_schedule_errors():
         parse_schedule_text("NOISE 0.1\nTIME t1 2\nTIME t2 10\nTIME t3 12")
 
 
+TIMES = "TIME t1 2\nTIME t2 10\nTIME t3 12\n"
+GATE_LINE = "GATE XX SITES 2,5 START 0 DUR 1 PARAM pi/2"
+BAD_SITES = "SITES must be distinct positive integers, got "
+
+
+def test_repeated_time_directive_is_rejected():
+    """A repeated TIME line is an error naming both lines, not a silent
+    last-wins."""
+    with pytest.raises(ScheduleError, match=r"^line 4: TIME t1 repeats line 1$"):
+        parse_schedule_text(TIMES + "TIME t1 4\n")
+
+
+MALFORMED = [
+    ("TIME t1 x\nTIME t2 10\nTIME t3 12\n",
+     "line 1: TIME t1 must be a finite number, got 'x'"),
+    ("TIME t1 2\nTIME t2 nan\nTIME t3 12\n",
+     "line 2: TIME t2 must be a finite number, got 'nan'"),
+    ("TIME t1 2\nTIME t2 10\nTIME t3 inf\n",
+     "line 3: TIME t3 must be a finite number, got 'inf'"),
+] + [
+    (TIMES + GATE_LINE.replace(old, new) + "\n", "line 4: " + match)
+    for old, new, match in [
+        ("SITES 2,5", "SITES a,b", BAD_SITES + "'a,b'"),
+        ("SITES 2,5", "SITES 1,1", BAD_SITES + "'1,1'"),
+        ("SITES 2,5", "SITES 0,2", BAD_SITES + "'0,2'"),
+        ("START 0", "START x", "START must be a finite number, got 'x'"),
+        ("START 0", "START nan", "START must be a finite number, got 'nan'"),
+        ("START 0", "START inf", "START must be a finite number, got 'inf'"),
+        ("DUR 1", "DUR nan", "DUR must be a finite number, got 'nan'"),
+        ("DUR 1", "DUR -inf", "DUR must be a finite number, got '-inf'"),
+        ("DUR 1", "DUR 0", "DUR must be positive, got '0'"),
+        ("DUR 1", "DUR -1", "DUR must be positive, got '-1'"),
+    ]
+]
+
+
+@pytest.mark.parametrize("text, match", MALFORMED,
+                         ids=[match for _, match in MALFORMED])
+def test_malformed_schedule_tokens_name_their_line(text, match):
+    with pytest.raises(ScheduleError, match=f"^{re.escape(match)}$"):
+        parse_schedule_text(text)
+
+
 def test_parse_schedule_ignores_comments_and_blanks():
     parsed = parse_schedule_text(
         "# a comment\n\nTIME t1 2\nTIME t2 10\nTIME t3 12\n"

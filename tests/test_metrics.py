@@ -1,4 +1,5 @@
 from collections import Counter
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -284,6 +285,24 @@ def test_channel_structure_guard(monkeypatch, gate, allowed, rejected, match):
     for run in (run_protocol, average_over_inputs):
         with pytest.raises(ValueError, match=match):
             run(EncodingKind.SWAP, 0.5, 0.03, cfg)
+
+
+def test_nan_start_in_a_schedule_is_an_error(monkeypatch):
+    """START nan on the first PSWAP line of swap.sched used to parse, and as
+    NaN fails every time comparison the gate never acted: fidelity 0.5 at
+    alpha = 1, gamma = 0, where the packaged schedule gives 1."""
+    cfg = EvolutionConfig(0.25)
+    assert average_over_inputs(EncodingKind.SWAP, 1.0, 0.0, cfg).fidelity_avg == (
+        pytest.approx(1.0, abs=1e-12))
+    lines = (resources.files(gates.__package__) / "schedules"
+             / "swap.sched").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("GATE PSWAP"))
+    lines[at] = lines[at].replace("START 2 ", "START nan ")
+    monkeypatch.setattr(gates, "load_schedule",
+                        lambda kind: gates.parse_schedule_text("\n".join(lines)))
+    with pytest.raises(gates.ScheduleError, match=f"line {at + 1}: START must "
+                       f"be a finite number, got 'nan'"):
+        average_over_inputs(EncodingKind.SWAP, 1.0, 0.0, cfg)
 
 
 def test_scrambling_purity_falls_to_a_minimum_then_rises_in_gamma():

@@ -89,6 +89,14 @@ def test_schedule_overlap_detection():
     ProtocolSchedule(EncodingKind.SWAP, 0.5, [a, c], 1.0, 2.0, 3.0)
 
 
+def test_segment_bounds_check_fails_on_nan():
+    """NaN fails every comparison, so the bounds check is written to fail."""
+    for start, duration in ((float("nan"), 1.0), (0.0, float("nan"))):
+        seg = GateSegment(rz_generator(0.3), (1,), start, duration)
+        with pytest.raises(ValueError, match="lies outside"):
+            ProtocolSchedule(EncodingKind.SWAP, 0.5, [seg], 1.0, 2.0, 3.0)
+
+
 def test_measurement_pair_retargets_rotations():
     sched = build_schedule(EncodingKind.SCRAMBLING, 1.0, measurement_pair=(2, 5))
     late = [s for s in sched.segments if s.start_time >= 10]
