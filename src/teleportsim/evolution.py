@@ -8,8 +8,12 @@ per-step coherence decay rate. This is exact, not an approximation, since
 the local Kraus operators are diagonal and commute.
 
 Both halves of a bin factor over qubits, and the gates of one time slot act
-on disjoint qubit groups, so the engine never forms a 2^n x 2^n operator: a
-slot is one small local superoperator per group, raised to its step count.
+on disjoint qubit groups, so the engine never forms a 2^n x 2^n operator.
+Consecutive slots are grouped into windows: the gate sites of a window join
+into connected qubit components of at most MAX_COMPONENT_QUBITS qubits.
+Each component's steps compose into one 4^k x 4^k map at component size,
+applied to the state once; the qubits in no component are only dephased,
+by one factor for the whole window.
 """
 
 from __future__ import annotations
@@ -18,10 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import SCHEDULE_TIME_ATOL, GateSegment
-from .tensor_core import check_sites
+from .gates import I2, SCHEDULE_TIME_ATOL, GateSegment
+from .tensor_core import check_sites, num_qubits
 
 _RATE_FACTOR = {"kraus": 1.0, "lindblad": 0.5}
+# The largest qubit component a window composes into one map: a k-qubit map
+# is 4^k x 4^k, so a fourth qubit would make each pass 4x dearer, and the
+# packaged schedules never need it.
+MAX_COMPONENT_QUBITS = 3
 
 
 @dataclass(frozen=True)
@@ -153,15 +161,69 @@ def _slot_edges(segments, t_from: float, t_to: float) -> list[float]:
     return sorted(edges)
 
 
+def _join(components: list[frozenset], factors) -> list[frozenset]:
+    """The qubit components once each gate of a slot has joined every
+    component it touches."""
+    for sites, _ in factors:
+        touched = [c for c in components if c & set(sites)]
+        components = ([c for c in components if c not in touched]
+                      + [frozenset(sites).union(*touched)])
+    return components
+
+
+def _windows(slots):
+    """Group consecutive (nsteps, factors) slots greedily into windows, each
+    with its connected qubit components: a slot joins the open window unless
+    that grows a component past MAX_COMPONENT_QUBITS. A window always takes
+    its first slot, so a gate larger than the bound gets a window alone."""
+    window, components = [], []
+    for slot in slots:
+        joined = _join(components, slot[1])
+        if window and any(len(c) > MAX_COMPONENT_QUBITS for c in joined):
+            yield window, components
+            window, joined = [], _join([], slot[1])
+        window.append(slot)
+        components = joined
+    if window:
+        yield window, components
+
+
+def _component_map(window, sites, step_map) -> np.ndarray:
+    """The map of one qubit component over a window, on its ascending sites:
+    the product of its slot maps. A slot's map is the tensor product of the
+    step maps of its gates on the component, with each other qubit of the
+    component as an idle identity gate."""
+    k = len(sites)
+    local = {q: i for i, q in enumerate(sites)}
+    total = np.eye(4 ** k, dtype=complex)
+    for nsteps, factors in window:
+        gates = [(s, u) for s, u in factors if set(s) <= set(sites)]
+        busy = {q for s, _ in gates for q in s}
+        gates += [((q,), I2) for q in sites if q not in busy]
+        # each step map's (row, col) axes, out then in, placed by einsum at
+        # their sites' places in the component's (rows, cols) order
+        operands = []
+        for s, u in gates:
+            rows = [local[q] for q in s]
+            out = rows + [k + r for r in rows]
+            operands += [step_map(u, nsteps).reshape((2,) * (4 * len(s))),
+                         out + [2 * k + a for a in out]]
+        slot = np.einsum(*operands, list(range(4 * k)))
+        total = slot.reshape(4 ** k, 4 ** k) @ total
+    return total
+
+
 def evolve_array(rho: np.ndarray, segments, noise: NoiseModel,
                  cfg: EvolutionConfig, t_from: float, t_to: float) -> np.ndarray:
     """Batched raw-array evolution; rho has shape (..., 2^n, 2^n).
 
     One Trotter step is the unitary sandwich U rho U' followed by dephasing of
-    every qubit. Both factor over the disjoint qubit groups of a time slot, so
-    the slot's nsteps steps are applied group by group: D (U (x) U*) raised
-    to nsteps for each gate on k qubits (a 4^k x 4^k map, D the k-qubit
-    dephasing diagonal), and dephasing alone for each idle qubit.
+    every qubit. Both factor over the disjoint qubit groups of a time slot: a
+    slot's nsteps steps are D (U (x) U*) raised to nsteps for each gate on k
+    qubits (a 4^k x 4^k map, D the k-qubit dephasing diagonal), and
+    dephasing alone for each idle qubit. Within a window (see _windows) the
+    slot maps of each component compose at component size and reach the
+    state as one map; the qubits in no component get one dephasing pass.
     """
     if t_from >= t_to:
         raise ValueError(f"need t_from < t_to, got {t_from} >= {t_to}")
@@ -172,16 +234,26 @@ def evolve_array(rho: np.ndarray, segments, noise: NoiseModel,
     decay = np.exp(-noise.coherence_rate * cfg.dt)
     state = rho.reshape((-1,) + (2,) * (2 * n))
     edges = _slot_edges(segments, t_from, t_to)
-    for a, b in zip(edges, edges[1:]):
-        nsteps = cfg.steps_between(a, b)
-        factors = slot_unitary([s for s in segments if s.active_at(a)], cfg.dt, n)
-        idle = set(range(1, n + 1))
-        for sites, u in factors:
-            dephase = _dephasing_diagonal(len(sites), decay)[:, None]
-            step = np.linalg.matrix_power(dephase * np.kron(u, u.conj()), nsteps)
-            state = _apply_local(state, step, sites, n)
-            idle -= set(sites)
-        if idle and noise.gamma > 0:
-            state = _dephase_idle(state, sorted(idle), decay ** nsteps, n)
-    return state.reshape(rho.shape)
+    slots = [(cfg.steps_between(a, b),
+              slot_unitary([s for s in segments if s.active_at(a)], cfg.dt, n))
+             for a, b in zip(edges, edges[1:])]
+    step_maps: dict[tuple[int, bytes], np.ndarray] = {}
 
+    def step_map(u: np.ndarray, nsteps: int) -> np.ndarray:
+        key = (nsteps, u.tobytes())
+        if key not in step_maps:
+            dephase = _dephasing_diagonal(num_qubits(u), decay)[:, None]
+            step_maps[key] = np.linalg.matrix_power(
+                dephase * np.kron(u, u.conj()), nsteps)
+        return step_maps[key]
+
+    for window, components in _windows(slots):
+        for component in components:
+            sites = sorted(component)
+            state = _apply_local(state, _component_map(window, sites, step_map),
+                                 sites, n)
+        idle = set(range(1, n + 1)).difference(*components)
+        if idle and noise.gamma > 0:
+            steps = sum(nsteps for nsteps, _ in window)
+            state = _dephase_idle(state, sorted(idle), decay ** steps, n)
+    return state.reshape(rho.shape)

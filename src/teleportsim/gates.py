@@ -86,8 +86,10 @@ class GateSegment:
         dev = np.max(np.abs(self.generator - self.generator.conj().T))
         if dev > GENERATOR_ATOL:
             raise ValueError(f"generator not Hermitian (deviation {dev:.3e})")
-        if self.duration <= 0:
-            raise ValueError("segment duration must be positive")
+        # written so that a NaN duration fails it
+        if not self.duration > 0:
+            raise ValueError(f"segment duration must be positive, got "
+                             f"{self.duration}")
         if self.generator.shape != (2 ** len(self.sites),) * 2:
             raise ValueError(
                 f"generator shape {self.generator.shape} does not match "

@@ -132,9 +132,9 @@ def _evolve_channel(kind: EncodingKind, alpha: float, gamma: float,
 
 
 def _input_states(ops: np.ndarray) -> np.ndarray:
-    """The (6, 128, 128) states of the PAULI_EIGENSTATES inputs from the
-    channel's images of A, B, C: input a|0> + b|1> gives
-    |a|^2 A + |b|^2 B + a b* C + a* b C'."""
+    """The (6, d, d) states of the PAULI_EIGENSTATES inputs from the
+    channel's (3, d, d) images of A, B, C, or from the same block of each:
+    input a|0> + b|1> gives |a|^2 A + |b|^2 B + a b* C + a* b C'."""
     v = np.array([phi.vector for phi in PAULI_EIGENSTATES])
     a, b = v[:, 0], v[:, 1]
     weights = np.stack([abs(a) ** 2, abs(b) ** 2, a * b.conj(), a.conj() * b],
@@ -193,10 +193,13 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
     kept = tuple(q for q in range(1, n + 1) if q not in pair)
     fids, purs, negs, probs, n3s, sigmas, heralded = [], [], [], [], [], [], []
     failed = []
-    for i, (phi, rho3) in enumerate(zip(PAULI_EIGENSTATES, _input_states(ops3))):
+    # the pair's |00> block of each input's t3 state, cut from the three
+    # images before the inputs are combined
+    blocks = _input_states(protocol.pair_block(ops3, pair))
+    for i, (phi, block) in enumerate(zip(PAULI_EIGENSTATES, blocks)):
         try:
-            # the heralded state: the pair's |00> block, on the kept qubits
-            sigma, prob = protocol.project_pair(rho3, pair)
+            # the heralded state, on the kept qubits
+            sigma, prob = protocol.project_pair(block, pair)
         except PostselectionImpossibleError:
             failed.append(phi.label)
             continue

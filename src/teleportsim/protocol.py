@@ -109,6 +109,10 @@ def build_schedule(kind: EncodingKind, alpha: float,
     parsed = gates.load_schedule(kind.value)
     segments = []
     for entry in parsed.entries:
+        if max(entry.sites) > NUM_QUBITS:
+            raise gates.ScheduleError(
+                f"{entry.name} gate on sites {entry.sites} names site "
+                f"{max(entry.sites)}, outside the {NUM_QUBITS}-qubit register")
         if entry.name == "CNOT":
             entry = gates.ScheduleEntry(entry.name, pair, entry.start,
                                         entry.duration, entry.param)
@@ -144,23 +148,25 @@ def check_channel_structure(sched: ProtocolSchedule) -> None:
                     f"sites")
 
 
-def _pair_projector_mask(pair: tuple[int, int], n: int = NUM_QUBITS) -> np.ndarray:
-    """Boolean basis mask where both qubits of the pair read |0>."""
-    idx = np.arange(2 ** n)
-    keep = np.ones(2 ** n, dtype=bool)
-    for q in pair:
-        keep &= ((idx >> (n - q)) & 1) == 0
-    return keep
+def pair_block(matrix: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """The pair's |00> block of a NUM_QUBITS-qubit matrix, or of each in a
+    batch: the [keep, keep] entries where both qubits of the pair read |0>,
+    indexed by the other qubits in ascending order."""
+    idx = np.arange(2 ** NUM_QUBITS)
+    pair_bits = sum(1 << (NUM_QUBITS - q) for q in pair)
+    keep = idx[idx & pair_bits == 0]
+    return matrix[..., keep[:, None], keep]
 
 
 def project_pair(matrix: np.ndarray, pair: tuple[int, int]) -> tuple[np.ndarray, float]:
-    """Project onto |00> of the pair. Returns the heralded state, the
-    renormalized [keep, keep] block of matrix: the state of the other
-    qubits, in ascending order; and the outcome's probability."""
-    keep = _pair_projector_mask(pair)
-    prob = float(np.real(np.sum(matrix[keep, keep])))
+    """Project a state onto |00> of the pair; matrix is the NUM_QUBITS-qubit
+    state or its pair_block. Returns the heralded state, the renormalized block:
+    the state of the other qubits, in ascending order; and the outcome's
+    probability."""
+    block = pair_block(matrix, pair) if len(matrix) == 2 ** NUM_QUBITS else matrix
+    prob = float(np.real(np.trace(block)))
     if prob < POSTSELECTION_EPS:
         raise PostselectionImpossibleError(
             f"heralded outcome on pair {pair} has probability {prob:.3e}"
         )
-    return matrix[np.ix_(keep, keep)] / prob, prob
+    return block / prob, prob

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teleportsim import evolution
 from teleportsim.evolution import (EvolutionConfig, NoiseModel,
                                    dephasing_kraus, evolve_array)
 from teleportsim.gates import GateSegment, rz_generator, xx_generator
@@ -254,3 +255,41 @@ def test_evolve_array_matches_dense_reference(n, seed, gamma, convention, dt):
                                             t_from, t_to)
         assert fast.shape == batch.shape
         assert np.max(np.abs(fast - slow)) < 1e-12
+
+
+def test_windows_split_before_a_component_outgrows_the_bound(monkeypatch):
+    """A 6-qubit chain XX(1,2), XX(2,3), XX(3,4), XX(4,5) in consecutive
+    slots, with an RZ on qubit 6 that ends mid-window: the first window
+    composes {1,2,3} and {6} with qubits 4 and 5 idle, the second {3,4,5}
+    with 1, 2 and 6 idle. No composed map is larger than 64 x 64, and the
+    result is the dense stepper's."""
+    n, dt = 6, 0.25
+    segments = [GateSegment(xx_generator(0.5 + 0.2 * q), (q, q + 1), q - 1.0, 1.0)
+                for q in range(1, 5)]
+    segments.append(GateSegment(rz_generator(1.3, 1.5), (6,), 0.0, 1.5))
+    batch = np.stack([random_density(np.random.default_rng(s), n) for s in (5, 6)])
+    maps, idle = [], []
+    apply_local, dephase_idle = evolution._apply_local, evolution._dephase_idle
+
+    def counted_apply(state, superop, sites, k):
+        maps.append(len(superop))
+        return apply_local(state, superop, sites, k)
+
+    def counted_dephase(state, sites, factor, k):
+        idle.append(tuple(sites))
+        return dephase_idle(state, sites, factor, k)
+
+    monkeypatch.setattr(evolution, "_apply_local", counted_apply)
+    monkeypatch.setattr(evolution, "_dephase_idle", counted_dephase)
+    cfg = EvolutionConfig(dt)
+    for gamma in (0.0, 0.3):
+        for convention in ("kraus", "lindblad"):
+            maps.clear()
+            idle.clear()
+            noise = NoiseModel(gamma, n, convention)
+            fast = evolve_array(batch, segments, noise, cfg, 0.0, 4.0)
+            slow = dense_reference.evolve_array(batch, segments, noise, cfg,
+                                                0.0, 4.0)
+            assert np.max(np.abs(fast - slow)) < 1e-12
+            assert sorted(maps) == [4, 64, 64]
+            assert idle == ([(4, 5), (1, 2, 6)] if gamma else [])

@@ -142,6 +142,14 @@ def test_segmentize_rejects_non_unitary():
         GateSegment(np.eye(2), (1,), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("duration", [0.0, -1.0, float("nan")])
+def test_segment_duration_must_be_positive(duration):
+    """A NaN duration used to construct, and evolve_array then never applied
+    the segment, as NaN fails every time comparison."""
+    with pytest.raises(ValueError, match="duration must be positive"):
+        GateSegment(gates.rz_generator(0.3), (1,), 0.0, duration)
+
+
 def test_gate_segment_validation():
     with pytest.raises(ValueError):
         GateSegment(np.array([[0, 1], [0, 0.0]]), (1,), 0.0, 1.0)

@@ -4,7 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from teleportsim import gates, metrics
+from teleportsim import evolution, gates, metrics
 from teleportsim.evolution import EvolutionConfig
 from teleportsim.metrics import (average_over_inputs, cut_negativities,
                                  fidelity, log_negativity, purity,
@@ -262,6 +262,37 @@ def test_work_per_point(kind, monkeypatch):
     assert evolved == [(1, 64, 64), (3, 128, 128), (3, 128, 128)]
 
 
+@pytest.mark.parametrize("kind", list(EncodingKind))
+def test_evolution_passes_per_point(kind, monkeypatch):
+    """Each evolve_array call passes over the full state once per qubit
+    component of each window and once to dephase the qubits in none: to t1
+    one 16 x 16 map per Bell pair; to t2 one 64 x 64 map for the encoder on
+    qubits 1..3 and one for the decoder on 4..6, with qubit 7 idle; to t3
+    one map for the measured pair, with the other five qubits idle."""
+    calls = []
+    evolve = metrics.evolve_array
+    apply_local, dephase_idle = evolution._apply_local, evolution._dephase_idle
+
+    def counted_evolve(rho, *args, **kwargs):
+        calls.append(([], []))
+        return evolve(rho, *args, **kwargs)
+
+    def counted_apply(state, superop, sites, n):
+        calls[-1][0].append(len(superop))
+        return apply_local(state, superop, sites, n)
+
+    def counted_dephase(state, sites, factor, n):
+        calls[-1][1].append(len(sites))
+        return dephase_idle(state, sites, factor, n)
+
+    monkeypatch.setattr(metrics, "evolve_array", counted_evolve)
+    monkeypatch.setattr(evolution, "_apply_local", counted_apply)
+    monkeypatch.setattr(evolution, "_dephase_idle", counted_dephase)
+    average_over_inputs(kind, 0.6, 0.03, EvolutionConfig(0.25))
+    assert [(sorted(maps), idle) for maps, idle in calls] == [
+        ([16, 16, 16], []), ([64, 64], [1]), ([16], [5])]
+
+
 SCHEDULE_TIMES = "TIME t1 2\nTIME t2 10\nTIME t3 12\n"
 
 
@@ -285,6 +316,16 @@ def test_channel_structure_guard(monkeypatch, gate, allowed, rejected, match):
     for run in (run_protocol, average_over_inputs):
         with pytest.raises(ValueError, match=match):
             run(EncodingKind.SWAP, 0.5, 0.03, cfg)
+
+
+def test_site_outside_the_register_is_a_schedule_error(monkeypatch):
+    """SITES 1,9 parses, as the parser does not know the register size; the
+    schedule build rejects it, naming the gate and the site."""
+    with_schedule(monkeypatch, "GATE XX SITES 1,9 START 4 DUR 1 PARAM 1\n")
+    for run in (run_protocol, average_over_inputs):
+        with pytest.raises(gates.ScheduleError, match=r"XX gate on sites "
+                           r"\(1, 9\) names site 9, outside the 7-qubit"):
+            run(EncodingKind.SWAP, 0.5, 0.03, EvolutionConfig(0.25))
 
 
 def test_nan_start_in_a_schedule_is_an_error(monkeypatch):

@@ -90,9 +90,11 @@ def test_schedule_overlap_detection():
 
 
 def test_segment_bounds_check_fails_on_nan():
-    """NaN fails every comparison, so the bounds check is written to fail."""
+    """NaN fails every comparison, so the bounds check is written to fail.
+    GateSegment rejects a NaN duration itself, so that one is set after."""
     for start, duration in ((float("nan"), 1.0), (0.0, float("nan"))):
-        seg = GateSegment(rz_generator(0.3), (1,), start, duration)
+        seg = GateSegment(rz_generator(0.3), (1,), start, 1.0)
+        seg.duration = duration
         with pytest.raises(ValueError, match="lies outside"):
             ProtocolSchedule(EncodingKind.SWAP, 0.5, [seg], 1.0, 2.0, 3.0)
 
