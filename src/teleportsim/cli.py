@@ -46,7 +46,7 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"ERROR figure-data {exc}", file=sys.stderr)
             return 1
-    out_path = os.path.join(args.out, cfg.output_path)
+    out_path = os.path.join(args.out, cfg.output)
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     try:
         rows = run_sweep(cfg, out_path)

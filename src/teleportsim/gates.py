@@ -84,8 +84,10 @@ class GateSegment:
         self.generator = np.asarray(self.generator, dtype=complex)
         self.sites = tuple(int(s) for s in self.sites)
         dev = np.max(np.abs(self.generator - self.generator.conj().T))
-        if dev > GENERATOR_ATOL:
-            raise ValueError(f"generator not Hermitian (deviation {dev:.3e})")
+        # written so that a NaN deviation, from a non-finite entry, fails it
+        if not dev <= GENERATOR_ATOL:
+            raise ValueError(f"generator of the segment on sites {self.sites} "
+                             f"is not Hermitian (deviation {dev:.3e})")
         # written so that a NaN duration fails it
         if not self.duration > 0:
             raise ValueError(f"segment duration must be positive, got "
@@ -133,14 +135,21 @@ def eval_param(expr: str, alpha: float) -> float:
                             f"alpha, pi, + - * / and parentheses")
 
     try:
-        return float(walk(ast.parse(expr.strip().lower(), mode="eval").body))
+        value = float(walk(ast.parse(expr.strip().lower(), mode="eval").body))
+    except ScheduleError:
+        raise
     except SyntaxError as exc:
         raise ScheduleError(f"cannot parse PARAM expression {expr!r}: {exc.msg}")
     except ZeroDivisionError:
         raise ScheduleError(f"division by zero in PARAM expression {expr!r}")
+    except OverflowError:  # an integer too large for a float
+        value = math.inf
     except (RecursionError, ValueError, MemoryError):
         raise ScheduleError(f"PARAM expression {expr!r} is nested too deeply "
                             f"or malformed")
+    if not math.isfinite(value):
+        raise ScheduleError(f"PARAM expression {expr!r} is not a finite number")
+    return value
 
 
 @dataclass(frozen=True)
@@ -162,7 +171,14 @@ class ParsedSchedule:
     t3: float
 
 
-_GATE_ARITY = {"XX": 2, "RZ": 1, "CNOT": 2, "HAD": 1, "PSWAP": 2}
+# each gate's site count, and its generator from the PARAM value and DUR
+_GATES = {
+    "XX": (2, xx_generator),
+    "RZ": (1, rz_generator),
+    "CNOT": (2, lambda scale, tau: cnot_generator(tau, scale)),
+    "HAD": (1, lambda scale, tau: hadamard_generator(tau, scale)),
+    "PSWAP": (2, param_swap_generator),
+}
 
 
 def _finite(token: str, field: str, lineno: int) -> float:
@@ -200,7 +216,7 @@ def parse_schedule_text(text: str) -> ParsedSchedule:
                 or tok[6] != "DUR" or tok[8] != "PARAM"):
             raise ScheduleError(f"line {lineno}: malformed GATE line")
         name = tok[1]
-        if name not in _GATE_ARITY:
+        if name not in _GATES:
             raise ScheduleError(f"line {lineno}: unknown gate {name!r}")
         try:
             sites = tuple(int(s) for s in tok[3].split(","))
@@ -209,9 +225,9 @@ def parse_schedule_text(text: str) -> ParsedSchedule:
         if not sites or min(sites) < 1 or len(set(sites)) != len(sites):
             raise ScheduleError(f"line {lineno}: SITES must be distinct positive "
                                 f"integers, got {tok[3]!r}")
-        if len(sites) != _GATE_ARITY[name]:
+        if len(sites) != _GATES[name][0]:
             raise ScheduleError(
-                f"line {lineno}: {name} takes {_GATE_ARITY[name]} site(s), "
+                f"line {lineno}: {name} takes {_GATES[name][0]} site(s), "
                 f"got {sites}"
             )
         start = _finite(tok[5], "START", lineno)
@@ -233,16 +249,8 @@ def load_schedule(kind: str) -> ParsedSchedule:
 
 def entry_segment(entry: ScheduleEntry, alpha: float) -> GateSegment:
     """Instantiate one schedule entry at a given alpha."""
-    p = eval_param(entry.param, alpha)
-    tau = entry.duration
-    if entry.name == "XX":
-        gen = xx_generator(p, tau)
-    elif entry.name == "RZ":
-        gen = rz_generator(p, tau)
-    elif entry.name == "CNOT":
-        gen = cnot_generator(tau, p)
-    elif entry.name == "HAD":
-        gen = hadamard_generator(tau, p)
-    else:
-        gen = param_swap_generator(p, tau)
-    return GateSegment(gen, entry.sites, entry.start, tau)
+    if entry.name not in _GATES:
+        raise ScheduleError(f"unknown gate {entry.name!r} on sites {entry.sites}")
+    generator = _GATES[entry.name][1]
+    return GateSegment(generator(eval_param(entry.param, alpha), entry.duration),
+                       entry.sites, entry.start, entry.duration)

@@ -131,11 +131,11 @@ def _evolve_channel(kind: EncodingKind, alpha: float, gamma: float,
     return ops1, ops2, ops3
 
 
-def _input_states(ops: np.ndarray) -> np.ndarray:
-    """The (6, d, d) states of the PAULI_EIGENSTATES inputs from the
-    channel's (3, d, d) images of A, B, C, or from the same block of each:
-    input a|0> + b|1> gives |a|^2 A + |b|^2 B + a b* C + a* b C'."""
-    v = np.array([phi.vector for phi in PAULI_EIGENSTATES])
+def _input_states(ops: np.ndarray, inputs=PAULI_EIGENSTATES) -> np.ndarray:
+    """The (k, d, d) states of the k inputs from the channel's (3, d, d)
+    images of A, B, C, or from the same block of each: input a|0> + b|1>
+    gives |a|^2 A + |b|^2 B + a b* C + a* b C'."""
+    v = np.array([phi.vector for phi in inputs])
     a, b = v[:, 0], v[:, 1]
     weights = np.stack([abs(a) ** 2, abs(b) ** 2, a * b.conj(), a.conj() * b],
                        axis=1)
@@ -220,11 +220,13 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
     # The t2 cuts, in input order X+, X-, Y+, Y-, Z+, Z-. Up to t2 the
     # channel commutes with the parity P = Z^(x)n (check_channel_structure),
     # so rho2(X-) = P rho2(X+) P and rho2(Y-) = P rho2(Y+) P have the cuts of
-    # X+ and Y+, as P is a product of local unitaries; Z+ and Z- give A and
-    # B, which commute with P, so their cuts are solved as parity blocks.
-    rho2 = _input_states(ops2)
-    x, y = (total_negativity(rho2[i], log_base) for i in (0, 2))
-    z = [sum(_parity_cut_negativities(m, log_base)) for m in rho2[4:]]
+    # X+ and Y+, as P is a product of local unitaries. Only those two inputs
+    # are combined, with the weights every input gets, so their bits match
+    # run_protocol's; Z+ and Z- are A and B, which commute with P, so their
+    # cuts are solved as parity blocks.
+    x, y = (total_negativity(m, log_base) for m in
+            _input_states(ops2, (PAULI_EIGENSTATES[0], PAULI_EIGENSTATES[2])))
+    z = [sum(_parity_cut_negativities(m, log_base)) for m in ops2[:2]]
     n2s = [x, x, y, y, *z]
     # every input's t1 state is its qubit-1 state times sigma, the same
     # state of qubits 2..n, whose cuts are the input average; A's top-left

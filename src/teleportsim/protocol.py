@@ -62,8 +62,6 @@ PAULI_EIGENSTATES = (
 class ProtocolSchedule:
     """Ordered gate segments plus the protocol checkpoints."""
 
-    kind: EncodingKind
-    alpha: float
     segments: list[gates.GateSegment]
     t1: float
     t2: float
@@ -120,8 +118,7 @@ def build_schedule(kind: EncodingKind, alpha: float,
             entry = gates.ScheduleEntry(entry.name, (pair[0],), entry.start,
                                         entry.duration, entry.param)
         segments.append(gates.entry_segment(entry, alpha))
-    return ProtocolSchedule(kind, alpha, segments, parsed.t1, parsed.t2,
-                            parsed.t3)
+    return ProtocolSchedule(segments, parsed.t1, parsed.t2, parsed.t3)
 
 
 def check_channel_structure(sched: ProtocolSchedule) -> None:

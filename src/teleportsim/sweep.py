@@ -25,27 +25,23 @@ COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    min: float
-    max: float
-    count: int
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.min, self.max, self.count)
-
-
 @dataclass
 class SweepConfig:
+    """Sweep settings; each field is the config key of the same name."""
+
     protocols: list[EncodingKind] = field(
         default_factory=lambda: [EncodingKind.SCRAMBLING, EncodingKind.SWAP]
     )
-    alpha_grid: GridSpec = GridSpec(0.0, 1.0, 51)
-    gamma_grid: GridSpec = GridSpec(0.0, 0.06, 31)
+    alpha_min: float = 0.0
+    alpha_max: float = 1.0
+    alpha_count: int = 51
+    gamma_min: float = 0.0
+    gamma_max: float = 0.06
+    gamma_count: int = 31
     dt: float = 0.01
     log_base: float = 2.0
     rate_convention: str = "kraus"
-    output_path: str = "sweep.csv"
+    output: str = "sweep.csv"
     resume: bool = False
 
 
@@ -53,17 +49,53 @@ class ConfigError(ValueError):
     """Malformed sweep configuration."""
 
 
-_KNOWN_KEYS = {
-    "protocols", "alpha_min", "alpha_max", "alpha_count", "gamma_min",
-    "gamma_max", "gamma_count", "dt", "log_base", "rate_convention",
-    "output", "resume",
+def _checked(parse, ok, message):
+    """The value parser that applies parse to a value's text and raises
+    ConfigError(message) unless ok(result); message may show the text as
+    {value!r}."""
+    def parser(value):
+        result = parse(value)
+        if not ok(result):
+            raise ConfigError(message.format(value=value))
+        return result
+    return parser
+
+
+def _protocols(value):
+    return [EncodingKind(name.strip().lower()) for name in value.split(",")]
+
+
+def _log_base(value):
+    return float(np.e) if value.lower() == "e" else float(value)
+
+
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_finite = _checked(float, np.isfinite, "expected a finite number, got {value!r}")
+_count = _checked(int, lambda count: count >= 1,
+                  "grid counts must be positive (alpha_count/gamma_count)")
+# the parser of each config key's value; the keys are SweepConfig's fields
+_PARSERS = {
+    "protocols": _checked(_protocols, lambda kinds: len(set(kinds)) == len(kinds),
+                          "protocols lists a protocol twice: {value!r}"),
+    "alpha_min": _finite, "alpha_max": _finite, "alpha_count": _count,
+    "gamma_min": _finite, "gamma_max": _finite, "gamma_count": _count,
+    "dt": _checked(_finite, lambda dt: dt > 0, "dt must be positive"),
+    "log_base": _checked(_log_base,
+                         lambda base: base == 2 or abs(base - np.e) <= 1e-12,
+                         "log_base must be 2 or e"),
+    "rate_convention": _checked(
+        str, lambda name: name in ("kraus", "lindblad"),
+        "rate_convention must be kraus or lindblad, got {value!r}"),
+    "output": _checked(str, os.path.basename, "output must name a file, got {value!r}"),
+    "resume": lambda value: _FLAGS[value.lower()],
 }
 
 
 def parse_config(text: str) -> SweepConfig:
-    """Parse `key = value` configuration text; unknown keys are errors."""
+    """Parse `key = value` configuration text; unknown keys are errors, and
+    of several faulty lines the first is reported."""
     cfg = SweepConfig()
-    raw: dict[str, tuple[int, str]] = {}
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -71,69 +103,27 @@ def parse_config(text: str) -> SweepConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in raw:
-            raise ConfigError(f"line {lineno}: key {key!r} repeats line "
-                              f"{raw[key][0]}")
-        raw[key] = (lineno, value)
-
-    def take(key, conv, default):
-        if key not in raw:
-            return default
-        lineno, value = raw[key]
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         try:
-            return conv(value)
+            setattr(cfg, key, _PARSERS[key](value))
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}")
         except Exception:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}")
-
-    def parse_protocols(value):
-        kinds = [EncodingKind(name.strip().lower()) for name in value.split(",")]
-        if len(set(kinds)) != len(kinds):
-            raise ConfigError(f"protocols lists a protocol twice: {value!r}")
-        return kinds
-
-    def parse_flag(value):
-        return {"1": True, "true": True, "yes": True,
-                "0": False, "false": False, "no": False}[value.strip().lower()]
-
-    def parse_finite(value):
-        number = float(value)
-        if not np.isfinite(number):
-            raise ConfigError(f"expected a finite number, got {value!r}")
-        return number
-
-    def parse_output(value):
-        if not os.path.basename(value):
-            raise ConfigError(f"output must name a file, got {value!r}")
-        return value
-
-    cfg.protocols = take("protocols", parse_protocols, cfg.protocols)
-    a_min = take("alpha_min", parse_finite, cfg.alpha_grid.min)
-    a_max = take("alpha_max", parse_finite, cfg.alpha_grid.max)
-    a_cnt = take("alpha_count", int, cfg.alpha_grid.count)
-    g_min = take("gamma_min", parse_finite, cfg.gamma_grid.min)
-    g_max = take("gamma_max", parse_finite, cfg.gamma_grid.max)
-    g_cnt = take("gamma_count", int, cfg.gamma_grid.count)
-    if not (0 <= a_min <= a_max <= 1):
+    if not (0 <= cfg.alpha_min <= cfg.alpha_max <= 1):
         raise ConfigError(
-            f"alpha grid [{a_min}, {a_max}] must lie within [0, 1] "
-            f"(fields alpha_min/alpha_max)"
+            f"alpha grid [{cfg.alpha_min}, {cfg.alpha_max}] must lie within "
+            f"[0, 1] (fields alpha_min/alpha_max)"
         )
-    if not (0 <= g_min <= g_max):
+    if not (0 <= cfg.gamma_min <= cfg.gamma_max):
         raise ConfigError(
-            f"gamma grid [{g_min}, {g_max}] must be nonnegative "
+            f"gamma grid [{cfg.gamma_min}, {cfg.gamma_max}] must be nonnegative "
             f"(fields gamma_min/gamma_max)"
         )
-    if a_cnt < 1 or g_cnt < 1:
-        raise ConfigError("grid counts must be positive (alpha_count/gamma_count)")
-    cfg.alpha_grid = GridSpec(a_min, a_max, a_cnt)
-    cfg.gamma_grid = GridSpec(g_min, g_max, g_cnt)
-    cfg.dt = take("dt", parse_finite, cfg.dt)
-    if cfg.dt <= 0:
-        raise ConfigError("dt must be positive")
     step = EvolutionConfig(cfg.dt)
     for kind in cfg.protocols:
         parsed = gates.load_schedule(kind.value)
@@ -143,24 +133,6 @@ def parse_config(text: str) -> SweepConfig:
         if off:
             raise ConfigError(f"dt={cfg.dt} does not fit the {kind.value} "
                               f"schedule: time {off[0]} is off the step grid")
-
-    def parse_base(value):
-        if value.strip().lower() == "e":
-            return float(np.e)
-        base = float(value)
-        if base != 2.0 and not abs(base - np.e) <= 1e-12:
-            raise ConfigError("log_base must be 2 or e")
-        return base
-
-    cfg.log_base = take("log_base", parse_base, cfg.log_base)
-    cfg.rate_convention = take("rate_convention", str.strip, cfg.rate_convention)
-    if cfg.rate_convention not in ("kraus", "lindblad"):
-        raise ConfigError(
-            f"rate_convention must be kraus or lindblad, got "
-            f"{cfg.rate_convention!r}"
-        )
-    cfg.output_path = take("output", parse_output, cfg.output_path)
-    cfg.resume = take("resume", parse_flag, cfg.resume)
     return cfg
 
 
@@ -169,8 +141,8 @@ def grid_points(cfg: SweepConfig) -> list[tuple[EncodingKind, float, float]]:
     return [
         (kind, float(a), float(g))
         for kind in cfg.protocols
-        for a in cfg.alpha_grid.values()
-        for g in cfg.gamma_grid.values()
+        for a in np.linspace(cfg.alpha_min, cfg.alpha_max, cfg.alpha_count)
+        for g in np.linspace(cfg.gamma_min, cfg.gamma_max, cfg.gamma_count)
     ]
 
 
@@ -212,10 +184,8 @@ def _header_lines(cfg: SweepConfig) -> list[str]:
     return [
         "# teleportation-protocol sweep",
         f"# protocols={','.join(k.value for k in cfg.protocols)}",
-        f"# alpha_grid={cfg.alpha_grid.min},{cfg.alpha_grid.max},"
-        f"{cfg.alpha_grid.count}",
-        f"# gamma_grid={cfg.gamma_grid.min},{cfg.gamma_grid.max},"
-        f"{cfg.gamma_grid.count}",
+        f"# alpha_grid={cfg.alpha_min},{cfg.alpha_max},{cfg.alpha_count}",
+        f"# gamma_grid={cfg.gamma_min},{cfg.gamma_max},{cfg.gamma_count}",
         f"# dt={cfg.dt} log_base={_base_label(cfg)} "
         f"rate_convention={cfg.rate_convention}",
         "# alpha, gamma dimensionless; gamma in units of inverse gate time",
@@ -297,7 +267,7 @@ def run_sweep(cfg: SweepConfig, out_path: str | None = None) -> list[str]:
     point and their error column is empty; all other points are computed.
     Returns the data rows.
     """
-    out_path = out_path or cfg.output_path
+    out_path = out_path or cfg.output
     points = grid_points(cfg)
     done = _reusable_rows(out_path) if cfg.resume else {}
     keys = [_row_key(_format_row(None, p, cfg)) for p in points]

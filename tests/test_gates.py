@@ -203,6 +203,43 @@ def test_eval_param():
                 assert eval_param(entry.param, alpha) == want
 
 
+@pytest.mark.parametrize("bad", ["alpha**2", "x", "abs(alpha)", "1j"])
+def test_param_outside_the_grammar_says_so(bad):
+    """The grammar message used to be caught by the evaluator's own
+    ValueError clause and reworded as 'nested too deeply or malformed'."""
+    with pytest.raises(ScheduleError, match=re.escape(
+            f"PARAM expression {bad!r} may only use numbers, alpha, pi, "
+            f"+ - * / and parentheses")):
+        eval_param(bad, 0.5)
+
+
+@pytest.mark.parametrize("bad", ["1e308*10", "1e308*10-1e308*10",
+                                 "-1e308*10", "1" + "0" * 400 + "*alpha"],
+                         ids=["inf", "nan", "-inf", "int-overflow"])
+def test_non_finite_param_is_a_schedule_error(bad):
+    """1e308*10 gave inf and 1e308*10-1e308*10 gave nan; a 401-digit integer
+    times a float raised OverflowError."""
+    with pytest.raises(ScheduleError, match=re.escape(
+            f"PARAM expression {bad!r} is not a finite number")):
+        eval_param(bad, 0.5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_non_finite_generator_is_not_hermitian(entry):
+    """A NaN deviation failed `dev > GENERATOR_ATOL`, so an all-NaN generator
+    used to construct."""
+    with pytest.raises(ValueError, match=r"generator of the segment on sites "
+                       r"\(2,\) is not Hermitian"):
+        GateSegment(np.full((2, 2), entry), (2,), 0.0, 1.0)
+
+
+def test_unknown_gate_name_is_a_schedule_error():
+    """Any name outside the gate table used to build a PSWAP segment."""
+    with pytest.raises(ScheduleError, match=r"unknown gate 'FOO' on sites \(1, 2\)"):
+        entry_segment(ScheduleEntry("FOO", (1, 2), 0.0, 4.0, "1"), 0.5)
+
+
 def test_parse_schedule_errors():
     with pytest.raises(ScheduleError):
         parse_schedule_text("TIME t1 2\nTIME t2 10\n")  # missing t3

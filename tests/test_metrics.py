@@ -328,6 +328,18 @@ def test_site_outside_the_register_is_a_schedule_error(monkeypatch):
             run(EncodingKind.SWAP, 0.5, 0.03, EvolutionConfig(0.25))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_gate_is_rejected_when_built(monkeypatch):
+    """PARAM 1e308 is finite, but the CNOT generator it scales is not: it
+    used to build, and the average then failed in eigh with 'Eigenvalues did
+    not converge'."""
+    with_schedule(monkeypatch, "GATE CNOT SITES 3,4 START 10 DUR 1 PARAM 1e308\n")
+    for run in (run_protocol, average_over_inputs):
+        with pytest.raises(ValueError, match=r"generator of the segment on "
+                           r"sites \(3, 4\) is not Hermitian \(deviation nan\)"):
+            run(EncodingKind.SWAP, 0.5, 0.03, EvolutionConfig(0.25))
+
+
 def test_nan_start_in_a_schedule_is_an_error(monkeypatch):
     """START nan on the first PSWAP line of swap.sched used to parse, and as
     NaN fails every time comparison the gate never acted: fidelity 0.5 at

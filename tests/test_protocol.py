@@ -1,7 +1,11 @@
+import re
+from importlib import resources
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from teleportsim import gates
 from teleportsim.evolution import EvolutionConfig, NoiseModel
 from teleportsim.gates import GateSegment, rz_generator
 from teleportsim.metrics import run_protocol
@@ -9,7 +13,7 @@ from teleportsim.protocol import (EncodingKind, InputState, MEASUREMENT_PAIRS,
                                   PAULI_EIGENSTATES,
                                   PostselectionImpossibleError,
                                   ProtocolSchedule, build_schedule,
-                                  project_pair)
+                                  check_channel_structure, project_pair)
 from teleportsim.tensor_core import check_density_matrix, partial_trace
 
 import dense_reference
@@ -83,10 +87,10 @@ def test_schedule_overlap_detection():
     a = GateSegment(rz_generator(0.3, 2.0), (1,), 0.0, 2.0)
     b = GateSegment(rz_generator(0.3, 2.0), (1,), 1.0, 2.0)
     with pytest.raises(ValueError):
-        ProtocolSchedule(EncodingKind.SWAP, 0.5, [a, b], 1.0, 2.0, 3.0)
+        ProtocolSchedule([a, b], 1.0, 2.0, 3.0)
     # same window, different qubits: fine
     c = GateSegment(rz_generator(0.3, 2.0), (2,), 0.0, 2.0)
-    ProtocolSchedule(EncodingKind.SWAP, 0.5, [a, c], 1.0, 2.0, 3.0)
+    ProtocolSchedule([a, c], 1.0, 2.0, 3.0)
 
 
 def test_segment_bounds_check_fails_on_nan():
@@ -96,7 +100,7 @@ def test_segment_bounds_check_fails_on_nan():
         seg = GateSegment(rz_generator(0.3), (1,), start, 1.0)
         seg.duration = duration
         with pytest.raises(ValueError, match="lies outside"):
-            ProtocolSchedule(EncodingKind.SWAP, 0.5, [seg], 1.0, 2.0, 3.0)
+            ProtocolSchedule([seg], 1.0, 2.0, 3.0)
 
 
 def test_measurement_pair_retargets_rotations():
@@ -228,3 +232,52 @@ def test_project_pair_returns_the_heralded_block(pair):
 
 def test_measurement_pairs_constant():
     assert MEASUREMENT_PAIRS == ((3, 4), (2, 5), (1, 6))
+
+
+CORRUPTIONS = ("nan", "inf", "-1", "x", "", "0", "8", "1e308")
+# what a clear error names: the line, the PARAM expression, the gate and
+# its site, or the offending segments or checkpoints
+CLEAR_ERROR = re.compile(r"line (\d+): |PARAM expression '|gate on sites \(|"
+                         r"segments? on sites \(|checkpoints")
+
+
+def corrupted_schedules(kind):
+    """(what, the line a line-numbered error must name, text) of each
+    single-token corruption of a packaged schedule, and of it with one line
+    repeated."""
+    lines = (resources.files(gates.__package__) / "schedules"
+             / f"{kind.value}.sched").read_text().splitlines()
+    for i, line in enumerate(lines):
+        tokens = line.split("#", 1)[0].split()
+        for j in range(len(tokens)):
+            for bad in CORRUPTIONS:
+                variant = " ".join(tokens[:j] + [bad] + tokens[j + 1:])
+                yield (f"line {i + 1} token {j} -> {bad!r}", i + 1,
+                       "\n".join(lines[:i] + [variant] + lines[i + 1:]))
+        if tokens:
+            yield (f"line {i + 1} repeated", i + 2,
+                   "\n".join(lines[:i + 1] + [line] + lines[i + 1:]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", list(EncodingKind))
+def test_every_single_token_corruption_fails_clearly(monkeypatch, kind):
+    """Each token of each line of a packaged schedule replaced by each
+    corruption, and each line repeated: the schedule either builds, with
+    every generator finite, or raises a ValueError naming what is wrong. Any
+    other exception type fails the test."""
+    unclear = []
+    for what, lineno, text in corrupted_schedules(kind):
+        monkeypatch.setattr(gates, "load_schedule",
+                            lambda _, text=text: gates.parse_schedule_text(text))
+        try:
+            sched = build_schedule(kind, 0.73)
+            check_channel_structure(sched)
+        except ValueError as exc:
+            clear = CLEAR_ERROR.search(str(exc))
+            if not clear or clear[1] not in (None, str(lineno)):
+                unclear.append(f"{what}: {exc}")
+            continue
+        if not all(np.isfinite(seg.generator).all() for seg in sched.segments):
+            unclear.append(f"{what}: builds with a non-finite generator")
+    assert unclear == []

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -7,9 +9,8 @@ import pytest
 
 from teleportsim import cli, sweep
 from teleportsim.protocol import EncodingKind
-from teleportsim.sweep import (ConfigError, GridSpec, SweepConfig,
-                               emit_figure_data, grid_points, parse_config,
-                               run_sweep)
+from teleportsim.sweep import (ConfigError, SweepConfig, emit_figure_data,
+                               grid_points, parse_config, run_sweep)
 
 FAST = "dt = 0.05\n"  # coarse step: sweep tests exercise plumbing, not accuracy
 
@@ -27,8 +28,8 @@ def small_config(**overrides):
 def test_parse_config_defaults():
     cfg = parse_config("")
     assert cfg.protocols == [EncodingKind.SCRAMBLING, EncodingKind.SWAP]
-    assert cfg.alpha_grid == GridSpec(0.0, 1.0, 51)
-    assert cfg.gamma_grid == GridSpec(0.0, 0.06, 31)
+    assert (cfg.alpha_min, cfg.alpha_max, cfg.alpha_count) == (0.0, 1.0, 51)
+    assert (cfg.gamma_min, cfg.gamma_max, cfg.gamma_count) == (0.0, 0.06, 31)
     assert cfg.dt == 0.01
     assert cfg.log_base == 2.0
     assert cfg.rate_convention == "kraus"
@@ -36,7 +37,7 @@ def test_parse_config_defaults():
 
 def test_parse_config_gamma_spacing():
     cfg = parse_config("gamma_min = 0\ngamma_max = 0.06\ngamma_count = 4\n")
-    assert np.allclose(cfg.gamma_grid.values(), [0, 0.02, 0.04, 0.06])
+    assert np.allclose([g for _, _, g in grid_points(cfg)[:4]], [0, 0.02, 0.04, 0.06])
 
 
 def test_parse_config_errors_name_the_problem():
@@ -54,6 +55,40 @@ def test_parse_config_errors_name_the_problem():
         parse_config("dt = -0.01\n")
 
 
+def test_each_config_key_is_a_sweep_config_field():
+    """One parser per key, and the keys are SweepConfig's fields, so a new
+    setting is one field and one parser entry."""
+    assert set(sweep._PARSERS) == {f.name for f in dataclasses.fields(SweepConfig)}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("rate_convention = other",
+     "rate_convention must be kraus or lindblad, got 'other'"),
+    ("dt = -0.01", "dt must be positive"),
+    ("alpha_count = 0", "grid counts must be positive (alpha_count/gamma_count)"),
+    ("gamma_count = -3", "grid counts must be positive (alpha_count/gamma_count)"),
+])
+def test_single_value_errors_name_the_line(tmp_path, monkeypatch, capsys, line,
+                                           message):
+    with pytest.raises(ConfigError, match=re.escape(f"line 2: {message}")):
+        parse_config(f"protocols = swap\n{line}\n")
+    monkeypatch.setattr(cli, "run_sweep", None)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"protocols = swap\n{line}\n")
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert f"ERROR config-invalid line 2: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_the_first_faulty_line_is_reported():
+    with pytest.raises(ConfigError, match=r"line 1: grid counts must be positive"):
+        parse_config("alpha_count = 0\nalpha_step = 1\n")
+    with pytest.raises(ConfigError, match=r"line 1: bad value for dt: 'x'"):
+        parse_config("dt = x\ndt = 0.5\n")
+    with pytest.raises(ConfigError, match=r"line 2: unknown key 'alpha_step'"):
+        parse_config("alpha_count = 3\nalpha_step = 1\nalpha_count = 0\n")
+
+
 def test_parse_config_comments_and_values():
     cfg = parse_config(
         "# header comment\nprotocols = scrambling\nlog_base = e\n"
@@ -62,7 +97,7 @@ def test_parse_config_comments_and_values():
     assert cfg.protocols == [EncodingKind.SCRAMBLING]
     assert cfg.log_base == pytest.approx(np.e)
     assert cfg.resume is True
-    assert cfg.output_path == "my.csv"
+    assert cfg.output == "my.csv"
 
 
 def test_grid_points_order_and_count():
@@ -251,7 +286,7 @@ def test_rows_are_appended_once_each(tmp_path, monkeypatch):
             written.append(os.path.getsize(path) - before)
 
         monkeypatch.setattr(sweep, "_write_rows", counting)
-        cfg = small_config(alpha_grid=GridSpec(0.0, 1.0, alpha_count))
+        cfg = small_config(alpha_count=alpha_count)
         out = str(tmp_path / f"sweep{alpha_count}.csv")
         rows = run_sweep(cfg, out)
         data = open(out).read()
