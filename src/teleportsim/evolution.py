@@ -64,14 +64,11 @@ class NoiseModel:
     """
 
     gamma: float
-    num_qubits: int = 7
     rate_convention: str = "kraus"
 
     def __post_init__(self):
         if self.gamma < 0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.num_qubits < 1:
-            raise ValueError("num_qubits must be positive")
         if self.rate_convention not in _RATE_FACTOR:
             raise ValueError(
                 f"rate_convention must be one of {sorted(_RATE_FACTOR)}, "
@@ -227,10 +224,8 @@ def evolve_array(rho: np.ndarray, segments, noise: NoiseModel,
     """
     if t_from >= t_to:
         raise ValueError(f"need t_from < t_to, got {t_from} >= {t_to}")
-    n = noise.num_qubits
-    d = 2 ** n
-    if rho.shape[-2:] != (d, d):
-        raise ValueError(f"expected (..., {d}, {d}) states, got {rho.shape}")
+    # n from the trailing axes; num_qubits rejects any shape but 2^n x 2^n
+    n = num_qubits(np.empty(rho.shape[-2:], dtype=bool))
     decay = np.exp(-noise.coherence_rate * cfg.dt)
     state = rho.reshape((-1,) + (2,) * (2 * n))
     edges = _slot_edges(segments, t_from, t_to)

@@ -25,14 +25,11 @@ from importlib import resources
 
 import numpy as np
 
+from .tensor_core import num_qubits
+
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-# ln SWAP = (i pi / 2) * LN_SWAP_CORE
-LN_SWAP_CORE = np.array(
-    [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]], dtype=float
-)
 
 GENERATOR_ATOL = 1e-12
 # two schedule times closer than this are the same time
@@ -43,29 +40,28 @@ class ScheduleError(ValueError):
     """Malformed schedule transcription file."""
 
 
-def xx_generator(phi: float, tau: float = 1.0) -> np.ndarray:
-    """Hermitian H with exp(-i H tau) = XX(phi) = exp[(i phi / 2) X (x) X]."""
-    return -(phi / (2 * tau)) * np.kron(X, X)
+# each gate's (num, den, M): its generator at a PARAM value over DUR is
+# -(PARAM * num / (den * DUR)) * M, and M's size fixes its site count
+_GATES = {
+    # XX(PARAM) = exp[(i PARAM / 2) X (x) X]
+    "XX": (1, 2, np.kron(X, X)),
+    # R_Z(PARAM) = exp[(i PARAM / 2) Z]
+    "RZ": (1, 2, Z),
+    # CNOT = exp[(i pi / 4) (1 - Z) (x) (1 - X)] at PARAM 1; control first
+    "CNOT": (np.pi, 4, np.kron(I2 - Z, I2 - X)),
+    # HAD = exp[(i pi / (2 sqrt 2)) (X + Z)] = i * H_textbook at PARAM 1
+    "HAD": (np.pi, 2 * np.sqrt(2), X + Z),
+    # exp[PARAM * ln SWAP], with ln SWAP = (i pi / 2) M
+    "PSWAP": (np.pi, 2, np.array([[0, 0, 0, 0], [0, 1, -1, 0],
+                                  [0, -1, 1, 0], [0, 0, 0, 0]], dtype=float)),
+}
 
 
-def rz_generator(phi: float, tau: float = 1.0) -> np.ndarray:
-    """Generator of R_Z(phi) = exp[(i phi / 2) Z] over time tau."""
-    return -(phi / (2 * tau)) * Z
-
-
-def cnot_generator(tau: float = 1.0, scale: float = 1.0) -> np.ndarray:
-    """Generator of CNOT = exp[(i pi / 4) (1 - Z) (x) (1 - X)]; control first."""
-    return -(scale * np.pi / (4 * tau)) * np.kron(I2 - Z, I2 - X)
-
-
-def hadamard_generator(tau: float = 1.0, scale: float = 1.0) -> np.ndarray:
-    """Generator of HAD = exp[(i pi / (2 sqrt 2)) (X + Z)] = i * H_textbook."""
-    return -(scale * np.pi / (2 * np.sqrt(2) * tau)) * (X + Z)
-
-
-def param_swap_generator(exponent: float, tau: float = 4.0) -> np.ndarray:
-    """Generator of exp[exponent * ln SWAP] applied over time tau."""
-    return -(exponent * np.pi / (2 * tau)) * LN_SWAP_CORE
+def gate_generator(name: str, value: float, duration: float) -> np.ndarray:
+    """Hermitian generator H of the named gate at PARAM value, applied over
+    the duration: exp(-i H duration) is the gate."""
+    num, den, m = _GATES[name]
+    return -(value * num / (den * duration)) * m
 
 
 @dataclass
@@ -171,16 +167,6 @@ class ParsedSchedule:
     t3: float
 
 
-# each gate's site count, and its generator from the PARAM value and DUR
-_GATES = {
-    "XX": (2, xx_generator),
-    "RZ": (1, rz_generator),
-    "CNOT": (2, lambda scale, tau: cnot_generator(tau, scale)),
-    "HAD": (1, lambda scale, tau: hadamard_generator(tau, scale)),
-    "PSWAP": (2, param_swap_generator),
-}
-
-
 def _finite(token: str, field: str, lineno: int) -> float:
     try:
         value = float(token)
@@ -225,11 +211,10 @@ def parse_schedule_text(text: str) -> ParsedSchedule:
         if not sites or min(sites) < 1 or len(set(sites)) != len(sites):
             raise ScheduleError(f"line {lineno}: SITES must be distinct positive "
                                 f"integers, got {tok[3]!r}")
-        if len(sites) != _GATES[name][0]:
+        arity = num_qubits(_GATES[name][2])
+        if len(sites) != arity:
             raise ScheduleError(
-                f"line {lineno}: {name} takes {_GATES[name][0]} site(s), "
-                f"got {sites}"
-            )
+                f"line {lineno}: {name} takes {arity} site(s), got {sites}")
         start = _finite(tok[5], "START", lineno)
         duration = _finite(tok[7], "DUR", lineno)
         if duration <= 0:
@@ -251,6 +236,6 @@ def entry_segment(entry: ScheduleEntry, alpha: float) -> GateSegment:
     """Instantiate one schedule entry at a given alpha."""
     if entry.name not in _GATES:
         raise ScheduleError(f"unknown gate {entry.name!r} on sites {entry.sites}")
-    generator = _GATES[entry.name][1]
-    return GateSegment(generator(eval_param(entry.param, alpha), entry.duration),
-                       entry.sites, entry.start, entry.duration)
+    generator = gate_generator(entry.name, eval_param(entry.param, alpha),
+                               entry.duration)
+    return GateSegment(generator, entry.sites, entry.start, entry.duration)

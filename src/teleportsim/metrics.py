@@ -120,9 +120,8 @@ def _evolve_channel(kind: EncodingKind, alpha: float, gamma: float,
              if s.start_time < sched.t1 - gates.SCHEDULE_TIME_ATOL]
     rest = np.zeros((1, 2 ** (n - 1), 2 ** (n - 1)), dtype=complex)
     rest[0, 0, 0] = 1.0
-    sigma = evolve_array(rest, early, NoiseModel(gamma, n - 1, rate_convention),
-                         cfg, 0.0, sched.t1)[0]
-    noise = NoiseModel(gamma, n, rate_convention)
+    noise = NoiseModel(gamma, rate_convention)
+    sigma = evolve_array(rest, early, noise, cfg, 0.0, sched.t1)[0]
     coherence = math.exp(-noise.coherence_rate * sched.t1)
     qubit1 = ([[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, coherence], [0, 0]])
     ops1 = np.stack([np.kron(q1, sigma) for q1 in qubit1])

@@ -9,7 +9,7 @@ heralds the Bell state (|00> + |11>)/sqrt(2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -111,12 +111,8 @@ def build_schedule(kind: EncodingKind, alpha: float,
             raise gates.ScheduleError(
                 f"{entry.name} gate on sites {entry.sites} names site "
                 f"{max(entry.sites)}, outside the {NUM_QUBITS}-qubit register")
-        if entry.name == "CNOT":
-            entry = gates.ScheduleEntry(entry.name, pair, entry.start,
-                                        entry.duration, entry.param)
-        elif entry.name == "HAD":
-            entry = gates.ScheduleEntry(entry.name, (pair[0],), entry.start,
-                                        entry.duration, entry.param)
+        if entry.name in ("CNOT", "HAD"):
+            entry = replace(entry, sites=pair[:len(entry.sites)])
         segments.append(gates.entry_segment(entry, alpha))
     return ProtocolSchedule(segments, parsed.t1, parsed.t2, parsed.t3)
 
@@ -155,12 +151,14 @@ def pair_block(matrix: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     return matrix[..., keep[:, None], keep]
 
 
-def project_pair(matrix: np.ndarray, pair: tuple[int, int]) -> tuple[np.ndarray, float]:
-    """Project a state onto |00> of the pair; matrix is the NUM_QUBITS-qubit
-    state or its pair_block. Returns the heralded state, the renormalized block:
-    the state of the other qubits, in ascending order; and the outcome's
-    probability."""
-    block = pair_block(matrix, pair) if len(matrix) == 2 ** NUM_QUBITS else matrix
+def project_pair(block: np.ndarray, pair: tuple[int, int]) -> tuple[np.ndarray, float]:
+    """Project a state onto |00> of the pair, given its pair_block. Returns
+    the heralded state, the renormalized block: the state of the other
+    qubits, in ascending order; and the outcome's probability."""
+    d = 2 ** (NUM_QUBITS - 2)
+    if block.shape != (d, d):
+        raise ValueError(f"expected the pair's {d} x {d} block, got shape "
+                         f"{block.shape}")
     prob = float(np.real(np.trace(block)))
     if prob < POSTSELECTION_EPS:
         raise PostselectionImpossibleError(

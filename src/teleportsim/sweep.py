@@ -49,18 +49,6 @@ class ConfigError(ValueError):
     """Malformed sweep configuration."""
 
 
-def _checked(parse, ok, message):
-    """The value parser that applies parse to a value's text and raises
-    ConfigError(message) unless ok(result); message may show the text as
-    {value!r}."""
-    def parser(value):
-        result = parse(value)
-        if not ok(result):
-            raise ConfigError(message.format(value=value))
-        return result
-    return parser
-
-
 def _protocols(value):
     return [EncodingKind(name.strip().lower()) for name in value.split(",")]
 
@@ -70,25 +58,37 @@ def _log_base(value):
 
 
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-_finite = _checked(float, np.isfinite, "expected a finite number, got {value!r}")
-_count = _checked(int, lambda count: count >= 1,
-                  "grid counts must be positive (alpha_count/gamma_count)")
-# the parser of each config key's value; the keys are SweepConfig's fields
+_FINITE = (np.isfinite, "expected a finite number, got {value!r}")
+_COUNT = (lambda count: count >= 1,
+          "grid counts must be positive (alpha_count/gamma_count)")
+# each config key's value parser, and the (ok, message) checks its parsed
+# value must pass, a message showing the value as {value!r}; the keys are
+# SweepConfig's fields
 _PARSERS = {
-    "protocols": _checked(_protocols, lambda kinds: len(set(kinds)) == len(kinds),
-                          "protocols lists a protocol twice: {value!r}"),
-    "alpha_min": _finite, "alpha_max": _finite, "alpha_count": _count,
-    "gamma_min": _finite, "gamma_max": _finite, "gamma_count": _count,
-    "dt": _checked(_finite, lambda dt: dt > 0, "dt must be positive"),
-    "log_base": _checked(_log_base,
-                         lambda base: base == 2 or abs(base - np.e) <= 1e-12,
-                         "log_base must be 2 or e"),
-    "rate_convention": _checked(
-        str, lambda name: name in ("kraus", "lindblad"),
-        "rate_convention must be kraus or lindblad, got {value!r}"),
-    "output": _checked(str, os.path.basename, "output must name a file, got {value!r}"),
-    "resume": lambda value: _FLAGS[value.lower()],
+    "protocols": (_protocols, [(len, "protocols must name a protocol"),
+                               (lambda kinds: len(set(kinds)) == len(kinds),
+                                "protocols lists a protocol twice: {value!r}")]),
+    "alpha_min": (float, [_FINITE]), "alpha_max": (float, [_FINITE]),
+    "alpha_count": (int, [_COUNT]),
+    "gamma_min": (float, [_FINITE]), "gamma_max": (float, [_FINITE]),
+    "gamma_count": (int, [_COUNT]),
+    "dt": (float, [_FINITE, (lambda dt: dt > 0, "dt must be positive")]),
+    "log_base": (_log_base, [(lambda base: base == 2 or abs(base - np.e) <= 1e-12,
+                              "log_base must be 2 or e")]),
+    "rate_convention": (str, [(lambda name: name in ("kraus", "lindblad"),
+                               "rate_convention must be kraus or lindblad, "
+                               "got {value!r}")]),
+    "output": (str, [(os.path.basename, "output must name a file, got {value!r}")]),
+    "resume": (lambda value: _FLAGS[value.lower()], []),
 }
+
+
+def _check_value(key: str, value, shown, where: str) -> None:
+    """Raise ConfigError(where: message) unless the value of key passes its
+    checks; the message shows `shown`."""
+    for ok, message in _PARSERS[key][1]:
+        if not ok(value):
+            raise ConfigError(f"{where}: " + message.format(value=shown))
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -109,11 +109,21 @@ def parse_config(text: str) -> SweepConfig:
             raise ConfigError(f"line {lineno}: key {key!r} repeats line {seen[key]}")
         seen[key] = lineno
         try:
-            setattr(cfg, key, _PARSERS[key](value))
-        except ConfigError as exc:
-            raise ConfigError(f"line {lineno}: {exc}")
+            parsed = _PARSERS[key][0](value)
         except Exception:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}")
+        _check_value(key, parsed, value, f"line {lineno}")
+        setattr(cfg, key, parsed)
+    _check_config(cfg)
+    return cfg
+
+
+def _check_config(cfg: SweepConfig) -> None:
+    """Raise ConfigError unless cfg passes every check parse_config makes:
+    each field's, then those that span two keys (the alpha and gamma bounds
+    in order, dt on each selected schedule's step grid)."""
+    for key in _PARSERS:
+        _check_value(key, getattr(cfg, key), getattr(cfg, key), key)
     if not (0 <= cfg.alpha_min <= cfg.alpha_max <= 1):
         raise ConfigError(
             f"alpha grid [{cfg.alpha_min}, {cfg.alpha_max}] must lie within "
@@ -133,7 +143,6 @@ def parse_config(text: str) -> SweepConfig:
         if off:
             raise ConfigError(f"dt={cfg.dt} does not fit the {kind.value} "
                               f"schedule: time {off[0]} is off the step grid")
-    return cfg
 
 
 def grid_points(cfg: SweepConfig) -> list[tuple[EncodingKind, float, float]]:
@@ -265,8 +274,10 @@ def run_sweep(cfg: SweepConfig, out_path: str | None = None) -> list[str]:
     With cfg.resume, rows of the existing file are reused verbatim when their
     protocol, alpha, gamma, dt, log_base and rate_convention match a grid
     point and their error column is empty; all other points are computed.
-    Returns the data rows.
+    Returns the data rows. A cfg that parse_config would reject raises
+    ConfigError before any file is written.
     """
+    _check_config(cfg)
     out_path = out_path or cfg.output
     points = grid_points(cfg)
     done = _reusable_rows(out_path) if cfg.resume else {}

@@ -18,16 +18,11 @@ class NonHermitianError(ValueError):
     """Raised when an operation requires a Hermitian matrix but got none."""
 
 
-def _as_sites(sites) -> tuple[int, ...]:
+def check_sites(sites, n: int) -> tuple[int, ...]:
+    """Validate a subset of qubit sites against an n-qubit register."""
     sites = tuple(int(s) for s in sites)
     if len(set(sites)) != len(sites):
         raise ValueError(f"qubit sites must be unique, got {sites}")
-    return sites
-
-
-def check_sites(sites, n: int) -> tuple[int, ...]:
-    """Validate a subset of qubit sites against an n-qubit register."""
-    sites = _as_sites(sites)
     for s in sites:
         if not 1 <= s <= n:
             raise ValueError(f"qubit site {s} out of range 1..{n}")
@@ -43,19 +38,18 @@ def num_qubits(m: np.ndarray) -> int:
     return n
 
 
-def check_density_matrix(m: np.ndarray, herm_atol=HERMITICITY_ATOL,
-                         trace_atol=TRACE_ATOL, psd_atol=PSD_ATOL) -> None:
+def check_density_matrix(m: np.ndarray) -> None:
     """Check that m is a 2^n x 2^n density matrix: Hermitian, unit trace
     and PSD within the tolerances; raise ValueError on violation."""
     num_qubits(m)
     herm = np.max(np.abs(m - m.conj().T))
-    if herm > herm_atol:
+    if herm > HERMITICITY_ATOL:
         raise NonHermitianError(f"not Hermitian: max deviation {herm:.3e}")
     tr = abs(np.trace(m) - 1.0)
-    if tr > trace_atol:
+    if tr > TRACE_ATOL:
         raise ValueError(f"trace deviates from 1 by {tr:.3e}")
     lo = float(np.linalg.eigvalsh(m)[0])
-    if lo < -psd_atol:
+    if lo < -PSD_ATOL:
         raise ValueError(f"not PSD: min eigenvalue {lo:.3e}")
 
 
@@ -88,10 +82,10 @@ def partial_transpose(rho: np.ndarray, subsystem_b) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(perm).reshape(rho.shape))
 
 
-def hermitian_eigenvalues(m: np.ndarray, herm_atol=HERMITICITY_ATOL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending."""
     m = np.asarray(m)
     dev = np.max(np.abs(m - m.conj().T))
-    if dev > herm_atol:
+    if dev > HERMITICITY_ATOL:
         raise NonHermitianError(f"matrix not Hermitian: max deviation {dev:.3e}")
     return np.linalg.eigvalsh(m)

@@ -97,19 +97,15 @@ def hamming_matrix(n: int) -> np.ndarray:
     return h
 
 
-def dephasing_mask(noise: NoiseModel, dt: float) -> np.ndarray:
-    """Elementwise factor applied to rho by one dissipative step on all qubits."""
-    return np.exp(-noise.coherence_rate * dt * hamming_matrix(noise.num_qubits))
+def dephasing_mask(noise: NoiseModel, dt: float, n: int) -> np.ndarray:
+    """Elementwise factor applied to an n-qubit rho by one dissipative step
+    on all qubits."""
+    return np.exp(-noise.coherence_rate * dt * hamming_matrix(n))
 
 
 def dissipative_step(rho: np.ndarray, noise: NoiseModel, dt: float) -> np.ndarray:
     """One dephasing bin on every qubit; populations are left unchanged."""
-    if noise.num_qubits != num_qubits(rho):
-        raise ValueError(
-            f"noise model is for {noise.num_qubits} qubits, state has "
-            f"{num_qubits(rho)}"
-        )
-    return rho * dephasing_mask(noise, dt)
+    return rho * dephasing_mask(noise, dt, num_qubits(rho))
 
 
 def slot_unitary(segments, dt: float, n: int) -> np.ndarray:
@@ -138,8 +134,8 @@ def evolve_array(rho: np.ndarray, segments, noise: NoiseModel,
     times lie on the step grid."""
     if t_from >= t_to:
         raise ValueError(f"need t_from < t_to, got {t_from} >= {t_to}")
-    n, dt = noise.num_qubits, cfg.dt
-    mask = dephasing_mask(noise, dt) if noise.gamma > 0 else None
+    n, dt = num_qubits(rho[(0,) * (rho.ndim - 2)]), cfg.dt
+    mask = dephasing_mask(noise, dt, n) if noise.gamma > 0 else None
     unitaries = {}  # (U, U') per set of active segments
     for k in range(round((t_to - t_from) / dt)):
         t = t_from + k * dt

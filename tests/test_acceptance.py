@@ -10,7 +10,8 @@ import pytest
 from teleportsim.evolution import EvolutionConfig, NoiseModel, dephasing_kraus
 from teleportsim.metrics import run_protocol
 from teleportsim.protocol import (EncodingKind, MEASUREMENT_PAIRS,
-                                  PAULI_EIGENSTATES, project_pair)
+                                  PAULI_EIGENSTATES, pair_block,
+                                  project_pair)
 from teleportsim.tensor_core import partial_transpose
 
 from conftest import acceptance, record
@@ -129,7 +130,7 @@ def test_criterion_10_property_suite():
 
     # CPTP at all checkpoints of a noisy run
     states = [r[0] for r in run_protocol(SCR, 0.8, 0.03, EvolutionConfig(0.01))]
-    states.append(project_pair(states[2], (3, 4))[0])
+    states.append(project_pair(pair_block(states[2], (3, 4)), (3, 4))[0])
     cptp = True
     for rho in states:
         cptp &= abs(np.trace(rho) - 1) < 1e-12

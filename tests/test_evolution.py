@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from teleportsim import evolution
 from teleportsim.evolution import (EvolutionConfig, NoiseModel,
                                    dephasing_kraus, evolve_array)
-from teleportsim.gates import GateSegment, rz_generator, xx_generator
+from teleportsim.gates import GateSegment, gate_generator
 from teleportsim.tensor_core import check_density_matrix
 
 import dense_reference
@@ -68,7 +68,7 @@ def test_repeated_kraus_gives_exponential_coherence_decay():
 def test_dissipative_step_matches_kraus_oracle():
     rng = np.random.default_rng(7)
     rho = random_density(rng, 3)
-    noise = NoiseModel(0.05, 3)
+    noise = NoiseModel(0.05)
     fast = dissipative_step(rho, noise, 0.02)
     slow = kraus_oracle(rho, 0.05, 0.02, 3)
     assert np.max(np.abs(fast - slow)) < 1e-14
@@ -84,21 +84,21 @@ def test_dissipative_step_kraus_order_irrelevant():
 
 def test_dissipative_step_fixes_diagonal():
     diag = np.diag([0.5, 0.25, 0.125, 0.125]).astype(complex)
-    out = dissipative_step(diag, NoiseModel(0.06, 2), 0.01)
+    out = dissipative_step(diag, NoiseModel(0.06), 0.01)
     assert np.max(np.abs(out - diag)) < 1e-15
 
 
 def test_dissipative_step_gamma_zero_is_identity():
     rng = np.random.default_rng(9)
     rho = random_density(rng, 2)
-    out = dissipative_step(rho, NoiseModel(0.0, 2), 0.01)
+    out = dissipative_step(rho, NoiseModel(0.0), 0.01)
     assert np.array_equal(out, rho)
 
 
 def test_dissipative_step_preserves_trace_and_populations():
     rng = np.random.default_rng(10)
     rho = random_density(rng, 3)
-    out = dissipative_step(rho, NoiseModel(0.06, 3), 0.01)
+    out = dissipative_step(rho, NoiseModel(0.06), 0.01)
     assert abs(np.trace(out) - 1) < 1e-12
     assert np.allclose(np.diag(out), np.diag(rho))
 
@@ -106,8 +106,8 @@ def test_dissipative_step_preserves_trace_and_populations():
 def test_rate_conventions_differ_by_factor_two():
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     rho = np.outer(plus, plus.conj())
-    kraus = dissipative_step(rho, NoiseModel(0.06, 1, "kraus"), 1.0)
-    lind = dissipative_step(rho, NoiseModel(0.06, 1, "lindblad"), 1.0)
+    kraus = dissipative_step(rho, NoiseModel(0.06, "kraus"), 1.0)
+    lind = dissipative_step(rho, NoiseModel(0.06, "lindblad"), 1.0)
     assert abs(kraus[0, 1]) == pytest.approx(0.5 * np.exp(-0.06))
     assert abs(lind[0, 1]) == pytest.approx(0.5 * np.exp(-0.03))
 
@@ -116,9 +116,9 @@ def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(-0.1)
     with pytest.raises(ValueError):
-        NoiseModel(0.1, 7, "other")
+        NoiseModel(0.1, "other")
     assert NoiseModel(0.1).coherence_rate == 0.1
-    assert NoiseModel(0.1, 7, "lindblad").coherence_rate == 0.05
+    assert NoiseModel(0.1, "lindblad").coherence_rate == 0.05
 
 
 def test_hamming_matrix_small():
@@ -128,8 +128,8 @@ def test_hamming_matrix_small():
 
 
 def test_dephasing_mask_closed_form():
-    noise = NoiseModel(0.05, 2)
-    mask = dephasing_mask(noise, 0.1)
+    noise = NoiseModel(0.05)
+    mask = dephasing_mask(noise, 0.1, 2)
     assert np.allclose(mask, np.exp(-0.05 * 0.1 * hamming_matrix(2)))
 
 
@@ -141,8 +141,8 @@ def test_unitary_step_no_segments_is_identity():
 
 
 def test_unitary_step_rejects_overlapping_sites():
-    seg1 = GateSegment(xx_generator(0.3), (1, 2), 0.0, 1.0)
-    seg2 = GateSegment(rz_generator(0.3), (2,), 0.0, 1.0)
+    seg1 = GateSegment(gate_generator("XX", 0.3, 1.0), (1, 2), 0.0, 1.0)
+    seg2 = GateSegment(gate_generator("RZ", 0.3, 1.0), (2,), 0.0, 1.0)
     rho = np.eye(4) / 4
     with pytest.raises(ValueError):
         unitary_step(rho, [seg1, seg2], 0.01)
@@ -152,17 +152,17 @@ def test_unitary_step_preserves_purity():
     rng = np.random.default_rng(12)
     rho = random_density(rng, 2)
     before = np.real(np.trace(rho @ rho))
-    seg = GateSegment(xx_generator(1.1), (1, 2), 0.0, 1.0)
+    seg = GateSegment(gate_generator("XX", 1.1, 1.0), (1, 2), 0.0, 1.0)
     out = unitary_step(rho, [seg], 0.01)
     after = np.real(np.trace(out @ out))
     assert abs(before - after) < 1e-12
 
 
 def test_full_segment_reproduces_gate_action():
-    seg = GateSegment(rz_generator(np.pi / 2), (1,), 0.0, 1.0)
+    seg = GateSegment(gate_generator("RZ", np.pi / 2, 1.0), (1,), 0.0, 1.0)
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     rho = np.outer(plus, plus.conj())
-    out = evolve_array(rho, [seg], NoiseModel(0.0, 1),
+    out = evolve_array(rho, [seg], NoiseModel(0.0),
                        EvolutionConfig(0.01), 0.0, 1.0)
     expect = oracle.rz(np.pi / 2) @ rho @ oracle.rz(np.pi / 2).conj().T
     assert np.max(np.abs(out - expect)) < 1e-10
@@ -173,16 +173,16 @@ def test_evolve_noiseless_preserves_purity():
     plus = np.array([1, 1j], dtype=complex) / np.sqrt(2)
     psi = np.kron(plus, np.array([1, 0], dtype=complex))
     rho = np.outer(psi, psi.conj())
-    segs = [GateSegment(xx_generator(0.9), (1, 2), 0.0, 1.0),
-            GateSegment(rz_generator(0.4), (1,), 1.0, 1.0)]
-    out = evolve_array(rho, segs, NoiseModel(0.0, 2),
+    segs = [GateSegment(gate_generator("XX", 0.9, 1.0), (1, 2), 0.0, 1.0),
+            GateSegment(gate_generator("RZ", 0.4, 1.0), (1,), 1.0, 1.0)]
+    out = evolve_array(rho, segs, NoiseModel(0.0),
                        EvolutionConfig(0.01), 0.0, 2.0)
     assert np.real(np.trace(out @ out)) == pytest.approx(1, abs=1e-10)
 
 
 def test_evolve_empty_schedule_diagonal_fixed_point():
     diag = np.diag([0.5, 0.3, 0.1, 0.1]).astype(complex)
-    out = evolve_array(diag, [], NoiseModel(0.06, 2),
+    out = evolve_array(diag, [], NoiseModel(0.06),
                        EvolutionConfig(0.01), 0.0, 1.0)
     assert np.max(np.abs(out - diag)) < 1e-14
 
@@ -190,18 +190,36 @@ def test_evolve_empty_schedule_diagonal_fixed_point():
 def test_evolve_rejects_off_grid_times():
     rho = np.eye(2) / 2
     with pytest.raises(ValueError):
-        evolve_array(rho, [], NoiseModel(0.06, 1), EvolutionConfig(0.01),
+        evolve_array(rho, [], NoiseModel(0.06), EvolutionConfig(0.01),
                      0.0, 0.005)
     with pytest.raises(ValueError):
-        evolve_array(rho, [], NoiseModel(0.06, 1), EvolutionConfig(0.01),
+        evolve_array(rho, [], NoiseModel(0.06), EvolutionConfig(0.01),
                      1.0, 0.5)
+
+
+def test_evolve_reads_the_qubit_count_from_the_state():
+    """n comes from the trailing 2^n x 2^n axes of a state or a batch of any
+    shape; any other shape, or a site outside the n qubits, is a ValueError."""
+    rng = np.random.default_rng(15)
+    batch = np.stack([random_density(rng, 3) for _ in range(4)]).reshape(2, 2, 8, 8)
+    segs = [GateSegment(gate_generator("XX", 0.9, 1.0), (1, 3), 0.0, 1.0)]
+    noise, cfg = NoiseModel(0.06), EvolutionConfig(0.25)
+    out = evolve_array(batch, segs, noise, cfg, 0.0, 1.0)
+    slow = dense_reference.evolve_array(batch, segs, noise, cfg, 0.0, 1.0)
+    assert out.shape == batch.shape
+    assert np.max(np.abs(out - slow)) < 1e-12
+    for shape in ((3, 3), (2, 4), (8,), (2, 6, 6), ()):
+        with pytest.raises(ValueError, match=r"2\^n x 2\^n"):
+            evolve_array(np.zeros(shape), [], noise, cfg, 0.0, 1.0)
+    with pytest.raises(ValueError, match="qubit site 3 out of range 1..2"):
+        evolve_array(batch[0, 0, :4, :4], segs, noise, cfg, 0.0, 1.0)
 
 
 def test_evolve_cptp_per_step():
     rng = np.random.default_rng(14)
     rho = random_density(rng, 2)
-    segs = [GateSegment(xx_generator(0.8), (1, 2), 0.0, 1.0)]
-    noise = NoiseModel(0.06, 2)
+    segs = [GateSegment(gate_generator("XX", 0.8, 1.0), (1, 2), 0.0, 1.0)]
+    noise = NoiseModel(0.06)
     cfg = EvolutionConfig(0.01)
     out = evolve_array(rho, segs, noise, cfg, 0.0, 1.0)
     assert abs(np.trace(out) - 1) < 1e-12
@@ -212,7 +230,7 @@ def test_evolve_cptp_per_step():
 @given(st.floats(0, 0.1), st.integers(0, 10 ** 9))
 def test_dissipative_step_is_cptp(gamma, seed):
     rho = random_density(np.random.default_rng(seed), 2)
-    out = dissipative_step(rho, NoiseModel(gamma, 2), 0.01)
+    out = dissipative_step(rho, NoiseModel(gamma), 0.01)
     assert abs(np.trace(out) - 1) < 1e-12
     check_density_matrix(out)
 
@@ -246,7 +264,7 @@ def test_evolve_array_matches_dense_reference(n, seed, gamma, convention, dt):
     rng = np.random.default_rng(seed)
     segments, t_end = random_layout(rng, n, dt)
     t_mid = dt * rng.integers(1, round(t_end / dt))
-    noise = NoiseModel(gamma, n, convention)
+    noise = NoiseModel(gamma, convention)
     cfg = EvolutionConfig(dt)
     batch = np.stack([random_density(rng, n) for _ in range(2)])
     for t_from, t_to in ((0.0, t_end), (0.0, t_mid), (t_mid, t_end)):
@@ -264,9 +282,9 @@ def test_windows_split_before_a_component_outgrows_the_bound(monkeypatch):
     with 1, 2 and 6 idle. No composed map is larger than 64 x 64, and the
     result is the dense stepper's."""
     n, dt = 6, 0.25
-    segments = [GateSegment(xx_generator(0.5 + 0.2 * q), (q, q + 1), q - 1.0, 1.0)
-                for q in range(1, 5)]
-    segments.append(GateSegment(rz_generator(1.3, 1.5), (6,), 0.0, 1.5))
+    segments = [GateSegment(gate_generator("XX", 0.5 + 0.2 * q, 1.0), (q, q + 1),
+                            q - 1.0, 1.0) for q in range(1, 5)]
+    segments.append(GateSegment(gate_generator("RZ", 1.3, 1.5), (6,), 0.0, 1.5))
     batch = np.stack([random_density(np.random.default_rng(s), n) for s in (5, 6)])
     maps, idle = [], []
     apply_local, dephase_idle = evolution._apply_local, evolution._dephase_idle
@@ -286,7 +304,7 @@ def test_windows_split_before_a_component_outgrows_the_bound(monkeypatch):
         for convention in ("kraus", "lindblad"):
             maps.clear()
             idle.clear()
-            noise = NoiseModel(gamma, n, convention)
+            noise = NoiseModel(gamma, convention)
             fast = evolve_array(batch, segments, noise, cfg, 0.0, 4.0)
             slow = dense_reference.evolve_array(batch, segments, noise, cfg,
                                                 0.0, 4.0)

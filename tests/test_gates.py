@@ -8,9 +8,10 @@ from scipy.linalg import expm
 
 from teleportsim import gates
 from teleportsim.gates import (GateSegment, ScheduleEntry, ScheduleError,
-                               entry_segment, eval_param, load_schedule,
-                               parse_schedule_text)
+                               entry_segment, eval_param, gate_generator,
+                               load_schedule, parse_schedule_text)
 from teleportsim.protocol import EncodingKind, build_schedule
+from teleportsim.tensor_core import num_qubits
 
 import oracle
 from dense_reference import compose_window, embed, scrambling_unitary
@@ -32,15 +33,15 @@ def global_phase_equal(a, b, atol=1e-10):
 
 
 def xx_gate(phi):
-    return expm(-1j * gates.xx_generator(phi))
+    return expm(-1j * gate_generator("XX", phi, 1.0))
 
 
 def rz_gate(phi):
-    return expm(-1j * gates.rz_generator(phi))
+    return expm(-1j * gate_generator("RZ", phi, 1.0))
 
 
 def param_swap(alpha, sign):
-    return expm(-1j * gates.param_swap_generator(sign * alpha, 4.0) * 4.0)
+    return expm(-1j * gate_generator("PSWAP", sign * alpha, 4.0) * 4.0)
 
 
 def test_xx_gate_basics():
@@ -60,7 +61,7 @@ def test_rz_gate_values():
 
 
 def test_cnot_gate_action():
-    u = expm(-1j * gates.cnot_generator())
+    u = expm(-1j * gate_generator("CNOT", 1.0, 1.0))
     assert_unitary(u)
     assert global_phase_equal(u, oracle.cnot())
     v10 = np.array([0, 0, 1, 0], dtype=complex)
@@ -71,7 +72,7 @@ def test_cnot_gate_action():
 
 
 def test_hadamard_gate_action():
-    u = expm(-1j * gates.hadamard_generator())
+    u = expm(-1j * gate_generator("HAD", 1.0, 1.0))
     assert np.max(np.abs(u - oracle.had())) < 1e-12
     assert global_phase_equal(u @ u, np.eye(2))
     out = u @ np.array([1, 0], dtype=complex)
@@ -106,18 +107,18 @@ def test_param_swap_unitary_and_matches_oracle(alpha, sign):
 
 def test_generators_reproduce_gates():
     checks = [
-        (gates.xx_generator(-np.pi / 2), oracle.xx(-np.pi / 2), 1.0),
-        (gates.rz_generator(np.pi / 2), oracle.rz(np.pi / 2), 1.0),
-        (gates.cnot_generator(), oracle.cnot(), 1.0),
-        (gates.hadamard_generator(), oracle.had(), 1.0),
-        (gates.param_swap_generator(0.6, 4.0), oracle.pswap(0.6), 4.0),
+        (gate_generator("XX", -np.pi / 2, 1.0), oracle.xx(-np.pi / 2), 1.0),
+        (gate_generator("RZ", np.pi / 2, 1.0), oracle.rz(np.pi / 2), 1.0),
+        (gate_generator("CNOT", 1.0, 1.0), oracle.cnot(), 1.0),
+        (gate_generator("HAD", 1.0, 1.0), oracle.had(), 1.0),
+        (gate_generator("PSWAP", 0.6, 4.0), oracle.pswap(0.6), 4.0),
     ]
     for gen, gate, tau in checks:
         assert np.max(np.abs(expm(-1j * gen * tau) - gate)) < 1e-12
 
 
 def test_rz_generator_quarter_turn_value():
-    assert np.allclose(gates.rz_generator(np.pi / 2), -np.pi / 4 * gates.Z)
+    assert np.allclose(gate_generator("RZ", np.pi / 2, 1.0), -np.pi / 4 * gates.Z)
 
 
 def test_segmentize_roundtrip_all_gates():
@@ -147,7 +148,7 @@ def test_segment_duration_must_be_positive(duration):
     """A NaN duration used to construct, and evolve_array then never applied
     the segment, as NaN fails every time comparison."""
     with pytest.raises(ValueError, match="duration must be positive"):
-        GateSegment(gates.rz_generator(0.3), (1,), 0.0, duration)
+        GateSegment(gate_generator("RZ", 0.3, 1.0), (1,), 0.0, duration)
 
 
 def test_gate_segment_validation():
@@ -263,6 +264,29 @@ def test_repeated_time_directive_is_rejected():
     last-wins."""
     with pytest.raises(ScheduleError, match=r"^line 4: TIME t1 repeats line 1$"):
         parse_schedule_text(TIMES + "TIME t1 4\n")
+
+
+ORACLE_GATES = {"XX": oracle.xx(0.3), "RZ": oracle.rz(0.3), "CNOT": oracle.cnot(),
+                "HAD": oracle.had(), "PSWAP": oracle.pswap(0.3)}
+
+
+def test_gate_table_site_counts_match_the_oracle():
+    """Each gate's site count, read from its matrix in the gate table, is
+    that of its oracle gate: the parser takes that many sites and no other
+    count."""
+    assert set(gates._GATES) == set(ORACLE_GATES)
+    for name, gate in ORACLE_GATES.items():
+        k = num_qubits(gate)
+        assert gate_generator(name, 0.3, 1.0).shape == gate.shape
+        for count in (1, 2):
+            text = TIMES + (f"GATE {name} SITES {','.join('12'[:count])} START 0 "
+                            f"DUR 1 PARAM 1\n")
+            if count == k:
+                assert parse_schedule_text(text).entries[0].sites == (1, 2)[:k]
+            else:
+                with pytest.raises(ScheduleError,
+                                   match=rf"^line 4: {name} takes {k} site\(s\)"):
+                    parse_schedule_text(text)
 
 
 MALFORMED = [

@@ -10,7 +10,8 @@ from teleportsim.metrics import (average_over_inputs, cut_negativities,
                                  fidelity, log_negativity, purity,
                                  run_protocol, total_negativity)
 from teleportsim.protocol import (EncodingKind, MEASUREMENT_PAIRS,
-                                  PAULI_EIGENSTATES, project_pair)
+                                  PAULI_EIGENSTATES, pair_block,
+                                  project_pair)
 from teleportsim.tensor_core import partial_trace
 
 import oracle
@@ -134,7 +135,7 @@ def test_fidelity_monotone_in_alpha_noiseless(record):
 def test_each_pauli_pair_teleports_perfectly_noiseless():
     rho3 = run_protocol(EncodingKind.SCRAMBLING, 1.0, 0.0, CFG)[2]
     for phi, rho in zip(PAULI_EIGENSTATES, rho3):
-        sigma, _ = project_pair(rho, (3, 4))
+        sigma, _ = project_pair(pair_block(rho, (3, 4)), (3, 4))
         # qubit 7 is the last of the heralded qubits 1, 2, 5, 6, 7
         rho7 = partial_trace(sigma, (5,))
         assert fidelity(rho7, phi) == pytest.approx(1, abs=1e-3)
@@ -162,7 +163,8 @@ def test_projected_cut_negativities_match_full_cuts(pair, rank):
     kept = tuple(q for q in range(1, 8) if q not in pair)
     for log_base in (2, np.e):
         # the t3 shape: |00><00| on the measured pair times a 5-qubit state
-        sigma, _ = project_pair(random_state(rng, 128, rank), pair)
+        sigma, _ = project_pair(
+            pair_block(random_state(rng, 128, rank), pair), pair)
         post = embed(np.kron(np.diag([1, 0, 0, 0]), sigma), (*pair, *kept), 7)
         assert_cuts_match(post, sigma, kept, log_base)
         # the t1 shape: a mixed qubit 1 times a 6-qubit state
@@ -205,7 +207,8 @@ def test_average_over_inputs_reduces_run_protocol(kind):
             assert abs(rec.neg_total_t1 - mean1) <= 1e-13
             assert abs(rec.neg_total_t2 - mean2) <= 1e-13
             assert rec.success_prob_avg == float(
-                np.mean([project_pair(r, pair)[1] for r in rho3]))
+                np.mean([project_pair(pair_block(r, pair), pair)[1]
+                         for r in rho3]))
 
 
 @pytest.mark.parametrize("kind", list(EncodingKind))

@@ -7,13 +7,14 @@ from scipy.linalg import expm
 
 from teleportsim import gates
 from teleportsim.evolution import EvolutionConfig, NoiseModel
-from teleportsim.gates import GateSegment, rz_generator
+from teleportsim.gates import GateSegment, gate_generator
 from teleportsim.metrics import run_protocol
 from teleportsim.protocol import (EncodingKind, InputState, MEASUREMENT_PAIRS,
                                   PAULI_EIGENSTATES,
                                   PostselectionImpossibleError,
                                   ProtocolSchedule, build_schedule,
-                                  check_channel_structure, project_pair)
+                                  check_channel_structure, pair_block,
+                                  project_pair)
 from teleportsim.tensor_core import check_density_matrix, partial_trace
 
 import dense_reference
@@ -84,12 +85,12 @@ def test_build_schedule_rejects_bad_args():
 
 
 def test_schedule_overlap_detection():
-    a = GateSegment(rz_generator(0.3, 2.0), (1,), 0.0, 2.0)
-    b = GateSegment(rz_generator(0.3, 2.0), (1,), 1.0, 2.0)
+    a = GateSegment(gate_generator("RZ", 0.3, 2.0), (1,), 0.0, 2.0)
+    b = GateSegment(gate_generator("RZ", 0.3, 2.0), (1,), 1.0, 2.0)
     with pytest.raises(ValueError):
         ProtocolSchedule([a, b], 1.0, 2.0, 3.0)
     # same window, different qubits: fine
-    c = GateSegment(rz_generator(0.3, 2.0), (2,), 0.0, 2.0)
+    c = GateSegment(gate_generator("RZ", 0.3, 2.0), (2,), 0.0, 2.0)
     ProtocolSchedule([a, c], 1.0, 2.0, 3.0)
 
 
@@ -97,7 +98,7 @@ def test_segment_bounds_check_fails_on_nan():
     """NaN fails every comparison, so the bounds check is written to fail.
     GateSegment rejects a NaN duration itself, so that one is set after."""
     for start, duration in ((float("nan"), 1.0), (0.0, float("nan"))):
-        seg = GateSegment(rz_generator(0.3), (1,), start, 1.0)
+        seg = GateSegment(gate_generator("RZ", 0.3, 1.0), (1,), start, 1.0)
         seg.duration = duration
         with pytest.raises(ValueError, match="lies outside"):
             ProtocolSchedule([seg], 1.0, 2.0, 3.0)
@@ -132,7 +133,8 @@ def test_bell_measurement_on_prepared_bell_pair():
     psi = t.reshape(-1)
     psi = oracle.apply_gate(psi, oracle.cnot(), (3, 4))
     psi = oracle.apply_gate(psi, oracle.had(), (3,))
-    post, prob = project_pair(np.outer(psi, psi.conj()), (3, 4))
+    post, prob = project_pair(pair_block(np.outer(psi, psi.conj()), (3, 4)),
+                              (3, 4))
     assert prob == pytest.approx(1, abs=1e-12)
     assert np.trace(post) == pytest.approx(1, abs=1e-12)
 
@@ -146,17 +148,17 @@ def test_bell_measurement_impossible_outcome():
     psi = oracle.apply_gate(psi, oracle.cnot(), (3, 4))
     psi = oracle.apply_gate(psi, oracle.had(), (3,))
     with pytest.raises(PostselectionImpossibleError):
-        project_pair(np.outer(psi, psi.conj()), (3, 4))
+        project_pair(pair_block(np.outer(psi, psi.conj()), (3, 4)), (3, 4))
 
 
 def test_run_protocol_checkpoints_valid_and_deterministic():
     rhos = run_protocol(EncodingKind.SCRAMBLING, 0.8, 0.03, CFG)
     assert all(r.shape == (6, 128, 128) for r in rhos)
-    post, prob = project_pair(rhos[2][0], (3, 4))  # X+
+    post, prob = project_pair(pair_block(rhos[2][0], (3, 4)), (3, 4))  # X+
     for rho in (rhos[0][0], rhos[1][0], rhos[2][0], post):
         check_density_matrix(rho)
-    post2, prob2 = project_pair(
-        run_protocol(EncodingKind.SCRAMBLING, 0.8, 0.03, CFG)[2][0], (3, 4))
+    rho3 = run_protocol(EncodingKind.SCRAMBLING, 0.8, 0.03, CFG)[2][0]
+    post2, prob2 = project_pair(pair_block(rho3, (3, 4)), (3, 4))
     assert np.array_equal(post, post2)
     assert prob == prob2
 
@@ -170,7 +172,7 @@ def test_run_protocol_matches_dense_per_input_evolution(kind, rate_convention):
     cfg = EvolutionConfig(0.25)
     batch = np.stack([initial_state(phi) for phi in PAULI_EIGENSTATES])
     for gamma in (0.0, 0.03, 0.5):
-        noise = NoiseModel(gamma, 7, rate_convention)
+        noise = NoiseModel(gamma, rate_convention)
         # the measurement pair moves only the gates after t2
         sched = build_schedule(kind, 0.6)
         rho1 = dense_reference.evolve_array(batch, sched.segments, noise, cfg,
@@ -191,7 +193,7 @@ def test_noiseless_matches_state_vector_oracle(kind):
     """Trotter density matrix vs exact gate-product pure state at gamma=0."""
     phi = PAULI_EIGENSTATES[2]  # Y+
     rho1, rho2, rho3 = (r[2] for r in run_protocol(kind, 0.7, 0.0, CFG))
-    post, prob = project_pair(rho3, (3, 4))
+    post, prob = project_pair(pair_block(rho3, (3, 4)), (3, 4))
     ref = oracle.run(kind.value, 0.7, phi.vector)
     # the heralded state: amplitudes with qubits 3 and 4 in |00>
     herald = ref["post"].reshape((2,) * 7)[:, :, 0, 0].reshape(-1)
@@ -205,12 +207,13 @@ def test_noiseless_matches_state_vector_oracle(kind):
 def test_noiseless_success_probability_quarter_at_full_scrambling():
     for kind in EncodingKind:
         rho3 = run_protocol(kind, 1.0, 0.0, CFG)[2][1]  # X-
-        assert project_pair(rho3, (3, 4))[1] == pytest.approx(0.25, abs=1e-3)
+        block = pair_block(rho3, (3, 4))
+        assert project_pair(block, (3, 4))[1] == pytest.approx(0.25, abs=1e-3)
 
 
 def test_projection_preserves_purity_of_pure_states():
     rho3 = run_protocol(EncodingKind.SWAP, 0.4, 0.0, CFG)[2][5]  # Z-
-    post, _ = project_pair(rho3, (3, 4))
+    post, _ = project_pair(pair_block(rho3, (3, 4)), (3, 4))
     assert np.real(np.trace(post @ post)) == pytest.approx(1, abs=1e-10)
 
 
@@ -221,13 +224,16 @@ def test_project_pair_returns_the_heralded_block(pair):
     rng = np.random.default_rng(pair[0])
     a = rng.normal(size=(128, 3)) + 1j * rng.normal(size=(128, 3))
     rho = a @ a.conj().T / np.trace(a @ a.conj().T)
-    sigma, prob = project_pair(rho, pair)
+    sigma, prob = project_pair(pair_block(rho, pair), pair)
     p00 = np.diag([1, 0, 0, 0])
     proj = embed(p00, pair, 7)
     assert prob == pytest.approx(np.trace(proj @ rho).real, abs=1e-14)
     kept = [q for q in range(1, 8) if q not in pair]
     post = embed(np.kron(p00, sigma), (*pair, *kept), 7)
     assert np.max(np.abs(post - proj @ rho @ proj / prob)) < 1e-14
+    # the whole state is not a block: its trace would read as probability 1
+    with pytest.raises(ValueError, match=r"expected the pair's 32 x 32 block"):
+        project_pair(rho, pair)
 
 
 def test_measurement_pairs_constant():

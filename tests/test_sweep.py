@@ -308,6 +308,24 @@ def test_off_grid_dt_is_rejected_before_the_sweep(tmp_path, capsys):
         assert parse_config(f"dt = {dt}\n").dt == dt
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("log_base", 10, "log_base: log_base must be 2 or e"),
+    ("alpha_count", 0, "alpha_count: grid counts must be positive"),
+    ("dt", 0.3, "dt=0.3 does not fit the swap schedule: time 2.0 is off"),
+    ("protocols", [], "protocols: protocols must name a protocol"),
+], ids=["log_base", "alpha_count", "dt", "protocols"])
+def test_run_sweep_rejects_a_config_parse_config_would(tmp_path, monkeypatch,
+                                                        key, value, message):
+    """A SweepConfig built in code gets parse_config's checks before any file
+    is written. Unchecked, log_base 10 labelled its rows log_base=e,
+    alpha_count 0 and an empty protocol list wrote a header with no rows, and
+    dt 0.3 wrote one error row per point."""
+    monkeypatch.setenv("SIM_THREADS", "1")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        run_sweep(small_config(**{key: value}), str(tmp_path / "sweep.csv"))
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_checks_figure_coverage_before_the_sweep(tmp_path, monkeypatch,
                                                      capsys):
     def no_sweep(*args):
