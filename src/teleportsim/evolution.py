@@ -45,9 +45,10 @@ def dephasing_kraus(gamma: float, dt: float) -> KrausPair:
 
     Completeness K1'K1 + K2'K2 = I holds exactly in closed form.
     """
-    if gamma < 0:
+    # written so that a NaN setting fails them
+    if not gamma >= 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     decay = np.exp(-gamma * dt)
     k1 = np.diag([decay, 1.0]).astype(complex)
@@ -67,7 +68,8 @@ class NoiseModel:
     rate_convention: str = "kraus"
 
     def __post_init__(self):
-        if self.gamma < 0:
+        # written so that a NaN gamma fails it
+        if not self.gamma >= 0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
         if self.rate_convention not in _RATE_FACTOR:
             raise ValueError(
@@ -88,7 +90,8 @@ class EvolutionConfig:
     dt: float = 0.01
 
     def __post_init__(self):
-        if self.dt <= 0:
+        # written so that a NaN dt fails it
+        if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
     def on_grid(self, t: float) -> bool:

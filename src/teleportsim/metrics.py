@@ -112,7 +112,6 @@ def _evolve_channel(kind: EncodingKind, alpha: float, gamma: float,
     """
     cfg = cfg or EvolutionConfig()
     sched = protocol.build_schedule(kind, alpha, measurement_pair)
-    protocol.check_channel_structure(sched)
     n = protocol.NUM_QUBITS
     # qubit 1 is idle until t1: evolve qubits 2..n alone, sites shifted down
     early = [replace(s, sites=tuple(q - 1 for q in s.sites))
@@ -217,7 +216,7 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
             "heralded outcome impossible for every input state"
         )
     # The t2 cuts, in input order X+, X-, Y+, Y-, Z+, Z-. Up to t2 the
-    # channel commutes with the parity P = Z^(x)n (check_channel_structure),
+    # channel commutes with the parity P = Z^(x)n (protocol._check_schedule),
     # so rho2(X-) = P rho2(X+) P and rho2(Y-) = P rho2(Y+) P have the cuts of
     # X+ and Y+, as P is a product of local unitaries. Only those two inputs
     # are combined, with the weights every input gets, so their bits match

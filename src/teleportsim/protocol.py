@@ -58,7 +58,7 @@ PAULI_EIGENSTATES = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolSchedule:
     """Ordered gate segments plus the protocol checkpoints."""
 
@@ -67,29 +67,42 @@ class ProtocolSchedule:
     t2: float
     t3: float
 
-    def __post_init__(self):
-        if not 0 < self.t1 < self.t2 < self.t3:
-            raise ValueError("checkpoints must satisfy 0 < t1 < t2 < t3")
-        for seg in self.segments:
-            # written so that a NaN time fails it
-            if not (-gates.SCHEDULE_TIME_ATOL <= seg.start_time
-                    and seg.end_time <= self.t3 + gates.SCHEDULE_TIME_ATOL):
-                raise ValueError(
-                    f"segment on sites {seg.sites} lies outside [0, t3]"
-                )
-        self._check_no_overlap()
 
-    def _check_no_overlap(self):
-        for i, a in enumerate(self.segments):
-            for b in self.segments[i + 1:]:
-                if not set(a.sites) & set(b.sites):
-                    continue
-                if (a.start_time < b.end_time - gates.SCHEDULE_TIME_ATOL
-                        and b.start_time < a.end_time - gates.SCHEDULE_TIME_ATOL):
-                    raise ValueError(
-                        f"segments on sites {a.sites} and {b.sites} overlap "
-                        f"in time"
-                    )
+def _check_schedule(parsed: gates.ParsedSchedule) -> None:
+    """Raise ValueError unless 0 < t1 < t2 < t3 and each gate lies in [0, t3]
+    on the register, overlaps no gate on a shared qubit, spares qubit 1 if
+    it starts before t1, and if before t2 is of a kind that commutes with the
+    parity of its sites: metrics evolves qubits 2..n alone until t1, and
+    relates opposite X and Y inputs at t2 by the global parity Z^(x)n."""
+    atol = gates.SCHEDULE_TIME_ATOL
+    if not 0 < parsed.t1 < parsed.t2 < parsed.t3:
+        raise ValueError("checkpoints must satisfy 0 < t1 < t2 < t3")
+    for i, e in enumerate(parsed.entries):
+        if max(e.sites) > NUM_QUBITS:
+            raise gates.ScheduleError(
+                f"{e.name} gate on sites {e.sites} names site "
+                f"{max(e.sites)}, outside the {NUM_QUBITS}-qubit register")
+        # written so that a NaN time fails it
+        if not (-atol <= e.start and e.start + e.duration <= parsed.t3 + atol):
+            raise ValueError(f"segment on sites {e.sites} lies outside [0, t3]")
+        for b in parsed.entries[i + 1:]:
+            if (set(e.sites) & set(b.sites) and b.start < e.start + e.duration - atol
+                    and e.start < b.start + b.duration - atol):
+                raise ValueError(f"segments on sites {e.sites} and {b.sites} "
+                                 f"overlap in time")
+        if e.start < parsed.t1 - atol and 1 in e.sites:
+            raise ValueError(
+                f"segment on sites {e.sites} starts at {e.start:g}, before "
+                f"t1 = {parsed.t1:g}, and acts on qubit 1, which must be idle "
+                f"until t1")
+        if e.start < parsed.t2 - atol:
+            g = gates.gate_generator(e.name, 1.0, 1.0)
+            parity = np.array([bin(k).count("1") % 2 for k in range(len(g))])
+            if np.any(g[parity[:, None] != parity]):
+                raise ValueError(
+                    f"segment on sites {e.sites} starts at {e.start:g}, "
+                    f"before t2 = {parsed.t2:g}, and its generator does not "
+                    f"commute with the parity Z on its sites")
 
 
 def build_schedule(kind: EncodingKind, alpha: float,
@@ -97,7 +110,8 @@ def build_schedule(kind: EncodingKind, alpha: float,
     """Instantiate the packaged schedule for one protocol at a given alpha.
 
     measurement_pair retargets the CNOT/HAD rotations (and the subsequent
-    projection) to one of the pairs (3,4), (2,5), (1,6).
+    projection) to one of the pairs (3,4), (2,5), (1,6). _check_schedule
+    judges the lines as written, before any PARAM is evaluated.
     """
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -105,40 +119,13 @@ def build_schedule(kind: EncodingKind, alpha: float,
     if pair not in MEASUREMENT_PAIRS:
         raise ValueError(f"measurement pair must be one of {MEASUREMENT_PAIRS}")
     parsed = gates.load_schedule(kind.value)
+    _check_schedule(parsed)
     segments = []
     for entry in parsed.entries:
-        if max(entry.sites) > NUM_QUBITS:
-            raise gates.ScheduleError(
-                f"{entry.name} gate on sites {entry.sites} names site "
-                f"{max(entry.sites)}, outside the {NUM_QUBITS}-qubit register")
         if entry.name in ("CNOT", "HAD"):
             entry = replace(entry, sites=pair[:len(entry.sites)])
         segments.append(gates.entry_segment(entry, alpha))
     return ProtocolSchedule(segments, parsed.t1, parsed.t2, parsed.t3)
-
-
-def check_channel_structure(sched: ProtocolSchedule) -> None:
-    """Raise ValueError unless no segment that starts before t1 acts on
-    qubit 1, and every segment that starts before t2 has a generator that
-    commutes with the parity Z (x) ... (x) Z of its sites. metrics relies on
-    both: it evolves qubits 2..n alone until t1, and relates the t2 states
-    of opposite X and Y inputs by the global parity Z^(x)n."""
-    for seg in sched.segments:
-        if seg.start_time < sched.t1 - gates.SCHEDULE_TIME_ATOL and 1 in seg.sites:
-            raise ValueError(
-                f"segment on sites {seg.sites} starts at {seg.start_time:g}, "
-                f"before t1 = {sched.t1:g}, and acts on qubit 1, which must "
-                f"be idle until t1")
-        if seg.start_time < sched.t2 - gates.SCHEDULE_TIME_ATOL:
-            parity = np.array([bin(i).count("1") % 2
-                               for i in range(len(seg.generator))])
-            mixed = seg.generator[parity[:, None] != parity]
-            if np.any(np.abs(mixed) > gates.GENERATOR_ATOL):
-                raise ValueError(
-                    f"segment on sites {seg.sites} starts at "
-                    f"{seg.start_time:g}, before t2 = {sched.t2:g}, and its "
-                    f"generator does not commute with the parity Z on its "
-                    f"sites")
 
 
 def pair_block(matrix: np.ndarray, pair: tuple[int, int]) -> np.ndarray:

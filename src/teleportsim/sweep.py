@@ -4,6 +4,7 @@ delimiter-separated output and per-figure data emission.
 
 from __future__ import annotations
 
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -58,28 +59,37 @@ def _log_base(value):
 
 
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-_FINITE = (np.isfinite, "expected a finite number, got {value!r}")
-_COUNT = (lambda count: count >= 1,
-          "grid counts must be positive (alpha_count/gamma_count)")
+_FINITE = (lambda x: isinstance(x, numbers.Real) and type(x) is not bool
+           and np.isfinite(x), "expected a finite number, got {value!r}")
+_COUNT = [(lambda n: isinstance(n, numbers.Integral) and type(n) is not bool,
+           "expected an integer, got {value!r}"),
+          (lambda n: n >= 1, "grid counts must be positive (alpha_count/gamma_count)")]
+_KINDS = (lambda kinds: isinstance(kinds, list)
+          and set(map(type, kinds)) <= {EncodingKind},
+          "protocols must be a list of EncodingKind, got {value!r}")
 # each config key's value parser, and the (ok, message) checks its parsed
 # value must pass, a message showing the value as {value!r}; the keys are
-# SweepConfig's fields
+# SweepConfig's fields, and the first check also holds a field set in code
+# to its type
 _PARSERS = {
-    "protocols": (_protocols, [(len, "protocols must name a protocol"),
+    "protocols": (_protocols, [_KINDS, (len, "protocols must name a protocol"),
                                (lambda kinds: len(set(kinds)) == len(kinds),
                                 "protocols lists a protocol twice: {value!r}")]),
     "alpha_min": (float, [_FINITE]), "alpha_max": (float, [_FINITE]),
-    "alpha_count": (int, [_COUNT]),
+    "alpha_count": (int, _COUNT),
     "gamma_min": (float, [_FINITE]), "gamma_max": (float, [_FINITE]),
-    "gamma_count": (int, [_COUNT]),
+    "gamma_count": (int, _COUNT),
     "dt": (float, [_FINITE, (lambda dt: dt > 0, "dt must be positive")]),
-    "log_base": (_log_base, [(lambda base: base == 2 or abs(base - np.e) <= 1e-12,
+    "log_base": (_log_base, [_FINITE,
+                             (lambda base: base == 2 or abs(base - np.e) <= 1e-12,
                               "log_base must be 2 or e")]),
     "rate_convention": (str, [(lambda name: name in ("kraus", "lindblad"),
                                "rate_convention must be kraus or lindblad, "
                                "got {value!r}")]),
-    "output": (str, [(os.path.basename, "output must name a file, got {value!r}")]),
-    "resume": (lambda value: _FLAGS[value.lower()], []),
+    "output": (str, [(lambda path: isinstance(path, str) and os.path.basename(path),
+                      "output must name a file, got {value!r}")]),
+    "resume": (lambda value: _FLAGS[value.lower()], [
+        (lambda flag: isinstance(flag, bool), "resume must be true or false")]),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from teleportsim import EncodingKind, EvolutionConfig, average_over_inputs
+from teleportsim import EncodingKind, EvolutionConfig, average_over_inputs, gates
 
 
 @functools.lru_cache(maxsize=None)
@@ -28,6 +28,18 @@ def record(kind, alpha, gamma, dt=0.01, rate_convention="kraus",
 @pytest.fixture(scope="session", name="record")
 def record_fixture():
     return record
+
+
+SCHEDULE_TIMES = "TIME t1 2\nTIME t2 10\nTIME t3 12\n"
+
+
+def with_schedule(monkeypatch, schedule):
+    """Make gates.load_schedule return the schedule for every kind: a
+    ParsedSchedule, or gate lines, parsed with the checkpoints t1 = 2,
+    t2 = 10 and t3 = 12."""
+    if isinstance(schedule, str):
+        schedule = gates.parse_schedule_text(SCHEDULE_TIMES + schedule)
+    monkeypatch.setattr(gates, "load_schedule", lambda kind: schedule)
 
 
 ACCEPTANCE_RESULTS: list[str] = []

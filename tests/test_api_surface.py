@@ -15,7 +15,7 @@ ALLOWED = {
     # implements; acceptance criterion 10 checks its completeness
     "evolution.dephasing_kraus",
     # the density-matrix invariant check, kept for the checkpoint state
-    # checks on the ROADMAP (item 5)
+    # checks on the ROADMAP (item 6)
     "tensor_core.check_density_matrix",
 }
 

@@ -56,6 +56,25 @@ def test_kraus_rejects_bad_args():
         dephasing_kraus(0.1, 0.0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: EvolutionConfig(NAN), "dt must be positive, got nan"),
+    (lambda: NoiseModel(NAN), "gamma must be nonnegative, got nan"),
+    (lambda: dephasing_kraus(NAN, 0.1), "gamma must be nonnegative, got nan"),
+    (lambda: dephasing_kraus(0.1, NAN), "dt must be positive, got nan"),
+], ids=["EvolutionConfig", "NoiseModel", "dephasing_kraus-gamma",
+        "dephasing_kraus-dt"])
+def test_nan_settings_are_rejected(make, message):
+    """NaN fails every comparison, so the checks are written to fail on it.
+    Written as x < 0, a NaN gamma or dt passed: EvolutionConfig(nan) failed
+    at the first evolution, NoiseModel(nan) in an eigensolver, and
+    dephasing_kraus returned NaN Kraus operators."""
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_repeated_kraus_gives_exponential_coherence_decay():
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     rho = np.outer(plus, plus.conj())

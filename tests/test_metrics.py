@@ -15,6 +15,7 @@ from teleportsim.protocol import (EncodingKind, MEASUREMENT_PAIRS,
 from teleportsim.tensor_core import partial_trace
 
 import oracle
+from conftest import with_schedule
 from dense_reference import embed
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -296,29 +297,41 @@ def test_evolution_passes_per_point(kind, monkeypatch):
         ([16, 16, 16], []), ([64, 64], [1]), ([16], [5])]
 
 
-SCHEDULE_TIMES = "TIME t1 2\nTIME t2 10\nTIME t3 12\n"
-
-
-def with_schedule(monkeypatch, text):
-    parsed = gates.parse_schedule_text(SCHEDULE_TIMES + text)
-    monkeypatch.setattr(gates, "load_schedule", lambda kind: parsed)
-
-
-@pytest.mark.parametrize("gate, allowed, rejected, match", [
-    ("HAD SITES 3", 10, 4, "does not commute with the parity"),
-    ("CNOT SITES 3,4", 10, 8, "does not commute with the parity"),
-    ("RZ SITES 1", 2, 0, "acts on qubit 1"),
-])
-def test_channel_structure_guard(monkeypatch, gate, allowed, rejected, match):
+@pytest.mark.parametrize("gate, allowed, rejected, match, param, alpha", [
+    ("HAD SITES 3", 10, 4, "does not commute with the parity", "1", 0.5),
+    ("CNOT SITES 3,4", 10, 8, "does not commute with the parity", "1", 0.5),
+    ("RZ SITES 1", 2, 0, "acts on qubit 1", "1", 0.5),
+    # judged by the gate's kind, not its angle: at alpha = 0 this CNOT is
+    # the identity, and it is still rejected before t2
+    ("CNOT SITES 3,4", 10, 8, "does not commute with the parity", "alpha", 0.0),
+], ids=["HAD SITES 3-10-4-does not commute with the parity",
+        "CNOT SITES 3,4-10-8-does not commute with the parity",
+        "RZ SITES 1-2-0-acts on qubit 1",
+        "CNOT SITES 3,4 PARAM alpha at alpha 0"])
+def test_channel_structure_guard(monkeypatch, gate, allowed, rejected, match,
+                                 param, alpha):
     """A gate that breaks the parity before t2, or one on qubit 1 before t1,
     is an error, not a silently wrong average; the same gate later runs."""
     cfg = EvolutionConfig(0.25)
-    with_schedule(monkeypatch, f"GATE {gate} START {allowed} DUR 1 PARAM 1\n")
-    average_over_inputs(EncodingKind.SWAP, 0.5, 0.03, cfg)
-    with_schedule(monkeypatch, f"GATE {gate} START {rejected} DUR 1 PARAM 1\n")
+    with_schedule(monkeypatch, f"GATE {gate} START {allowed} DUR 1 PARAM {param}\n")
+    average_over_inputs(EncodingKind.SWAP, alpha, 0.03, cfg)
+    with_schedule(monkeypatch, f"GATE {gate} START {rejected} DUR 1 PARAM {param}\n")
     for run in (run_protocol, average_over_inputs):
         with pytest.raises(ValueError, match=match):
-            run(EncodingKind.SWAP, 0.5, 0.03, cfg)
+            run(EncodingKind.SWAP, alpha, 0.03, cfg)
+
+
+def test_an_overlap_made_by_retargeting_is_an_error(monkeypatch):
+    """build_schedule judges the gate lines as written, where the CNOT on
+    (3, 4) and the RZ on 6 are disjoint; retargeted to the pair (1, 6) they
+    share qubit 6, which the evolution rejects."""
+    cfg = EvolutionConfig(0.25)
+    with_schedule(monkeypatch, "GATE CNOT SITES 3,4 START 10 DUR 1 PARAM 1\n"
+                  "GATE RZ SITES 6 START 10 DUR 1 PARAM 1\n")
+    average_over_inputs(EncodingKind.SWAP, 0.5, 0.03, cfg)
+    with pytest.raises(ValueError, match=r"share qubit\(s\) \[6\]"):
+        average_over_inputs(EncodingKind.SWAP, 0.5, 0.03, cfg,
+                            measurement_pair=(1, 6))
 
 
 def test_site_outside_the_register_is_a_schedule_error(monkeypatch):

@@ -7,18 +7,17 @@ from scipy.linalg import expm
 
 from teleportsim import gates
 from teleportsim.evolution import EvolutionConfig, NoiseModel
-from teleportsim.gates import GateSegment, gate_generator
+from teleportsim.gates import ParsedSchedule, ScheduleEntry
 from teleportsim.metrics import run_protocol
 from teleportsim.protocol import (EncodingKind, InputState, MEASUREMENT_PAIRS,
                                   PAULI_EIGENSTATES,
-                                  PostselectionImpossibleError,
-                                  ProtocolSchedule, build_schedule,
-                                  check_channel_structure, pair_block,
-                                  project_pair)
+                                  PostselectionImpossibleError, build_schedule,
+                                  pair_block, project_pair)
 from teleportsim.tensor_core import check_density_matrix, partial_trace
 
 import dense_reference
 import oracle
+from conftest import with_schedule
 from dense_reference import embed, initial_state
 
 CFG = EvolutionConfig(0.01)
@@ -84,24 +83,26 @@ def test_build_schedule_rejects_bad_args():
         build_schedule(EncodingKind.SWAP, 0.5, measurement_pair=(2, 4))
 
 
-def test_schedule_overlap_detection():
-    a = GateSegment(gate_generator("RZ", 0.3, 2.0), (1,), 0.0, 2.0)
-    b = GateSegment(gate_generator("RZ", 0.3, 2.0), (1,), 1.0, 2.0)
+def test_schedule_overlap_detection(monkeypatch):
+    a = "GATE RZ SITES 2 START 0 DUR 2 PARAM 0.3\n"
+    b = "GATE RZ SITES 2 START 1 DUR 2 PARAM 0.3\n"
+    with_schedule(monkeypatch, a + b)
     with pytest.raises(ValueError):
-        ProtocolSchedule([a, b], 1.0, 2.0, 3.0)
+        build_schedule(EncodingKind.SWAP, 0.5)
     # same window, different qubits: fine
-    c = GateSegment(gate_generator("RZ", 0.3, 2.0), (2,), 0.0, 2.0)
-    ProtocolSchedule([a, c], 1.0, 2.0, 3.0)
+    c = "GATE RZ SITES 3 START 0 DUR 2 PARAM 0.3\n"
+    with_schedule(monkeypatch, a + c)
+    build_schedule(EncodingKind.SWAP, 0.5)
 
 
-def test_segment_bounds_check_fails_on_nan():
+def test_segment_bounds_check_fails_on_nan(monkeypatch):
     """NaN fails every comparison, so the bounds check is written to fail.
-    GateSegment rejects a NaN duration itself, so that one is set after."""
+    The parser rejects a NaN time, so the entry is built directly."""
     for start, duration in ((float("nan"), 1.0), (0.0, float("nan"))):
-        seg = GateSegment(gate_generator("RZ", 0.3, 1.0), (1,), start, 1.0)
-        seg.duration = duration
+        entry = ScheduleEntry("RZ", (2,), start, duration, "0.3")
+        with_schedule(monkeypatch, ParsedSchedule((entry,), 1.0, 2.0, 3.0))
         with pytest.raises(ValueError, match="lies outside"):
-            ProtocolSchedule([seg], 1.0, 2.0, 3.0)
+            build_schedule(EncodingKind.SWAP, 0.5)
 
 
 def test_measurement_pair_retargets_rotations():
@@ -278,7 +279,6 @@ def test_every_single_token_corruption_fails_clearly(monkeypatch, kind):
                             lambda _, text=text: gates.parse_schedule_text(text))
         try:
             sched = build_schedule(kind, 0.73)
-            check_channel_structure(sched)
         except ValueError as exc:
             clear = CLEAR_ERROR.search(str(exc))
             if not clear or clear[1] not in (None, str(lineno)):

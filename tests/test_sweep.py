@@ -326,6 +326,27 @@ def test_run_sweep_rejects_a_config_parse_config_would(tmp_path, monkeypatch,
     assert not list(tmp_path.iterdir())
 
 
+WRONG_TYPES = [("resume", "no"), ("gamma_count", True), ("alpha_count", 2.5),
+               ("protocols", ["swap"]), ("log_base", "e"), ("dt", "0.1"),
+               ("alpha_min", "0"), ("output", 5)]
+
+
+@pytest.mark.parametrize("key, value", WRONG_TYPES,
+                         ids=[f"{k}={v!r}" for k, v in WRONG_TYPES])
+def test_run_sweep_type_checks_a_config_built_in_code(tmp_path, monkeypatch,
+                                                       key, value):
+    """A SweepConfig field set in code to a value of the wrong type is a
+    ConfigError naming the field, before any file is written. Unchecked,
+    resume "no" resumed, gamma_count True ran one gamma, and the others
+    raised a TypeError or AttributeError from deep in the sweep. An int
+    where a float is expected is a number, and passes."""
+    monkeypatch.setenv("SIM_THREADS", "1")
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        run_sweep(small_config(**{key: value}), str(tmp_path / "sweep.csv"))
+    assert not list(tmp_path.iterdir())
+    sweep._check_config(small_config(alpha_min=0, gamma_max=1))
+
+
 def test_cli_checks_figure_coverage_before_the_sweep(tmp_path, monkeypatch,
                                                      capsys):
     def no_sweep(*args):
