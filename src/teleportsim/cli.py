@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from .sweep import (ConfigError, FIGURE_IDS, check_figure_coverage,
+from .sweep import (COLUMNS, ConfigError, FIGURE_IDS, check_figure_coverage,
                     emit_figure_data, parse_config, run_sweep)
 
 
@@ -62,6 +62,11 @@ def main(argv=None) -> int:
             return 1
         for p in paths:
             print(f"wrote {p}")
+    # a row that skipped inputs still holds the averages over the others
+    failed = sum(not row.split(",")[COLUMNS.index("fidelity_avg")] for row in rows)
+    if failed:
+        print(f"ERROR rows-failed {failed} of {len(rows)} rows failed", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -36,23 +36,17 @@ def purity(rho: np.ndarray) -> float:
     return float(np.sum(np.abs(rho) ** 2))
 
 
-def _log_negativity_of(ev: np.ndarray, log_base: float) -> float:
-    """log(1 + 2N) with N the absolute sum of the negative eigenvalues ev of
-    a partial transpose; those smaller than 1e-12 in magnitude count as 0."""
-    ev = ev[np.abs(ev) >= NEGATIVITY_EIGENVALUE_CUTOFF]
-    two_n_plus_1 = 1 + 2 * float(np.sum((np.abs(ev) - ev) / 2))
-    if log_base == 2:
-        return math.log2(two_n_plus_1)
-    return math.log(two_n_plus_1) / math.log(log_base)
-
-
 def log_negativity(rho: np.ndarray, subsystem_b, log_base: float = 2) -> float:
     """log(1 + 2N) with N the absolute sum of negative eigenvalues of rho^T_B.
 
     Eigenvalues smaller than 1e-12 in magnitude are treated as zero.
     """
     ev = hermitian_eigenvalues(partial_transpose(rho, subsystem_b))
-    return _log_negativity_of(ev, log_base)
+    ev = ev[np.abs(ev) >= NEGATIVITY_EIGENVALUE_CUTOFF]
+    two_n_plus_1 = 1 + 2 * float(np.sum((np.abs(ev) - ev) / 2))
+    if log_base == 2:
+        return math.log2(two_n_plus_1)
+    return math.log(two_n_plus_1) / math.log(log_base)
 
 
 def cut_negativities(sigma: np.ndarray, sites, n: int,
@@ -78,25 +72,6 @@ def total_negativity(rho: np.ndarray, log_base: float = 2) -> float:
     """Sum of log negativities over the contiguous cuts (1..k | k+1..n)."""
     n = num_qubits(rho)
     return sum(cut_negativities(rho, range(1, n + 1), n, log_base))
-
-
-def _parity_cut_negativities(rho: np.ndarray, log_base: float) -> list[float]:
-    """The contiguous-cut log negativities of a state that commutes with the
-    parity Z^(x)n. Every partial transpose of it then commutes with the
-    parity too, so its spectrum is that of its even and odd blocks: two
-    half-size solves a cut."""
-    n = num_qubits(rho)
-    idx = np.arange(2 ** n)
-    odd = np.zeros(2 ** n, dtype=bool)
-    for q in range(n):
-        odd ^= (idx >> q) & 1 == 1
-    out = []
-    for k in range(1, n):
-        pt = partial_transpose(rho, range(k + 1, n + 1))
-        ev = np.concatenate([hermitian_eigenvalues(pt[np.ix_(block, block)])
-                             for block in (~odd, odd)])
-        out.append(_log_negativity_of(ev, log_base))
-    return out
 
 
 def _evolve_channel(kind: EncodingKind, alpha: float, gamma: float,
@@ -220,11 +195,9 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
     # so rho2(X-) = P rho2(X+) P and rho2(Y-) = P rho2(Y+) P have the cuts of
     # X+ and Y+, as P is a product of local unitaries. Only those two inputs
     # are combined, with the weights every input gets, so their bits match
-    # run_protocol's; Z+ and Z- are A and B, which commute with P, so their
-    # cuts are solved as parity blocks.
-    x, y = (total_negativity(m, log_base) for m in
-            _input_states(ops2, (PAULI_EIGENSTATES[0], PAULI_EIGENSTATES[2])))
-    z = [sum(_parity_cut_negativities(m, log_base)) for m in ops2[:2]]
+    # run_protocol's; Z+ and Z- are A and B.
+    xy = _input_states(ops2, (PAULI_EIGENSTATES[0], PAULI_EIGENSTATES[2]))
+    x, y, *z = (total_negativity(m, log_base) for m in (*xy, *ops2[:2]))
     n2s = [x, x, y, y, *z]
     # every input's t1 state is its qubit-1 state times sigma, the same
     # state of qubits 2..n, whose cuts are the input average; A's top-left

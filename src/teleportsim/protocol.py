@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from . import gates
+from .tensor_core import commutes_with_parity
 
 NUM_QUBITS = 7
 POSTSELECTION_EPS = 1e-12
@@ -96,9 +97,7 @@ def _check_schedule(parsed: gates.ParsedSchedule) -> None:
                 f"t1 = {parsed.t1:g}, and acts on qubit 1, which must be idle "
                 f"until t1")
         if e.start < parsed.t2 - atol:
-            g = gates.gate_generator(e.name, 1.0, 1.0)
-            parity = np.array([bin(k).count("1") % 2 for k in range(len(g))])
-            if np.any(g[parity[:, None] != parity]):
+            if not commutes_with_parity(gates.gate_generator(e.name, 1.0, 1.0)):
                 raise ValueError(
                     f"segment on sites {e.sites} starts at {e.start:g}, "
                     f"before t2 = {parsed.t2:g}, and its generator does not "

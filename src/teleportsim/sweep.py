@@ -192,7 +192,9 @@ def _compute_row(args) -> str:
         )
         return _format_row(rec, point, cfg)
     except Exception as exc:
-        return _format_row(None, point, cfg, error=f"{type(exc).__name__}:{exc}")
+        # the error text stays one field of one line
+        error = f"{type(exc).__name__}:{exc}".replace(",", ";")
+        return _format_row(None, point, cfg, error=" ".join(error.splitlines()))
 
 
 def _base_label(cfg: SweepConfig) -> str:
@@ -284,13 +286,21 @@ def run_sweep(cfg: SweepConfig, out_path: str | None = None) -> list[str]:
     With cfg.resume, rows of the existing file are reused verbatim when their
     protocol, alpha, gamma, dt, log_base and rate_convention match a grid
     point and their error column is empty; all other points are computed.
-    Returns the data rows. A cfg that parse_config would reject raises
-    ConfigError before any file is written.
+    Until the last row is written, the reusable rows are also kept in
+    `<out_path>.resume`, which the next resume reads too, so an interrupted
+    resume loses none of them. Returns the data rows. A cfg that
+    parse_config would reject raises ConfigError before any file is written.
     """
     _check_config(cfg)
     out_path = out_path or cfg.output
     points = grid_points(cfg)
-    done = _reusable_rows(out_path) if cfg.resume else {}
+    aside = out_path + ".resume"
+    done = {}
+    if cfg.resume:
+        done = {**_reusable_rows(aside), **_reusable_rows(out_path)}
+        # replaced whole, so the old rows are on disk at every moment
+        _write_rows(aside + ".tmp", list(done.values()), mode="w")
+        os.replace(aside + ".tmp", aside)
     keys = [_row_key(_format_row(None, p, cfg)) for p in points]
     pending = [(p, cfg) for p, k in zip(points, keys) if k not in done]
     nworkers = min(worker_count(), len(pending))
@@ -302,6 +312,8 @@ def run_sweep(cfg: SweepConfig, out_path: str | None = None) -> list[str]:
             row = done[key] if key in done else next(computed)
             _write_rows(out_path, [row])
             rows.append(row)
+    if cfg.resume:
+        os.remove(aside)
     return rows
 
 

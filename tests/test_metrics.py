@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from importlib import resources
 
@@ -12,7 +13,7 @@ from teleportsim.metrics import (average_over_inputs, cut_negativities,
 from teleportsim.protocol import (EncodingKind, MEASUREMENT_PAIRS,
                                   PAULI_EIGENSTATES, pair_block,
                                   project_pair)
-from teleportsim.tensor_core import partial_trace
+from teleportsim.tensor_core import partial_trace, partial_transpose
 
 import oracle
 from conftest import with_schedule
@@ -193,8 +194,8 @@ def test_t1_negativity_once_per_point_is_the_input_mean(kind, rate_convention):
 def test_average_over_inputs_reduces_run_protocol(kind):
     """The averages come from run_protocol's batches: the success
     probability bit for bit; t1, which average_over_inputs takes from one
-    6-qubit factor, and t2, which it takes from X+, Y+ and the parity blocks
-    of Z+ and Z- rather than from six 128 x 128 states, to rounding."""
+    6-qubit factor, and t2, which it takes from X+, Y+, Z+ and Z- rather
+    than from all six inputs, to rounding."""
     cfg = EvolutionConfig(0.04)
     for pair in MEASUREMENT_PAIRS:
         for gamma in (0.0, 0.03, 0.5):
@@ -217,8 +218,8 @@ def test_average_over_inputs_reduces_run_protocol(kind):
 def test_t2_states_obey_the_parity_relations(kind, rate_convention):
     """Up to t2 the protocol commutes with the parity P = Z^(x)7, so
     rho2(X-) = P rho2(X+) P, rho2(Y-) = P rho2(Y+) P, and rho2(Z+-) have
-    no parity off-diagonal blocks; their cuts, solved as two 64 x 64 blocks
-    each, equal the 128 x 128 cuts."""
+    no parity off-diagonal blocks; their cuts, which the solver takes as two
+    64 x 64 blocks each, equal full 128 x 128 solves."""
     idx = np.arange(128)
     odd = np.zeros(128, dtype=bool)
     for q in range(7):
@@ -234,35 +235,47 @@ def test_t2_states_obey_the_parity_relations(kind, rate_convention):
                 assert np.max(np.abs(rho2[minus] - flipped)) <= 1e-14
             for z in rho2[4:]:
                 assert np.max(np.abs(z[mixed])) <= 1e-14
-                for log_base in (2, np.e):
-                    full = [log_negativity(z, tuple(range(k + 1, 8)), log_base)
-                            for k in range(1, 7)]
-                    blocks = metrics._parity_cut_negativities(z, log_base)
-                    assert np.max(np.abs(np.subtract(blocks, full))) <= 1e-12
+                for k in range(1, 7):
+                    b = tuple(range(k + 1, 8))
+                    ev = np.linalg.eigvalsh(partial_transpose(z, b))
+                    ev = ev[np.abs(ev) >= metrics.NEGATIVITY_EIGENVALUE_CUTOFF]
+                    for log_base in (2, np.e):
+                        full = math.log(1 + np.sum(np.abs(ev) - ev), log_base)
+                        assert abs(log_negativity(z, b, log_base) - full) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", list(EncodingKind))
 def test_work_per_point(kind, monkeypatch):
     """One point makes three evolve_array calls (qubits 2..7 to t1, then the
-    three channel operators to t2 and to t3) and 65 eigen-solves: 12 at
-    128 x 128 (the t2 cuts of X+ and Y+), 29 at 64 x 64 (two parity blocks
-    for each t2 cut of Z+ and Z-, and the 5 t1 cuts on qubits 2..7) and 24
-    at 32 x 32 (4 per input on the heralded 5-qubit states)."""
-    solves, evolved = Counter(), []
-    solve, evolve = metrics.hermitian_eigenvalues, metrics.evolve_array
+    three channel operators to t2 and to t3) and 53 solver calls: 24 at
+    128 x 128 (the t2 cuts of X+, Y+, Z+ and Z-), 5 at 64 x 64 (the t1
+    cuts on qubits 2..7) and 24 at 32 x 32 (4 per input on the heralded
+    5-qubit states). The solver takes a state that commutes with the parity
+    as two half-size blocks: Z+ and Z- at t2 and the t1 state do, so LAPACK
+    makes 70 solves: 12 at 128 x 128, 24 at 64 x 64 and 10 + 24 at 32 x 32.
+    Round-off between the parity sectors would show as more full solves."""
+    solves, lapack, evolved = Counter(), Counter(), []
+    solve, eigvalsh = metrics.hermitian_eigenvalues, np.linalg.eigvalsh
+    evolve = metrics.evolve_array
 
     def counted_solve(m, *args, **kwargs):
         solves[len(m)] += 1
         return solve(m, *args, **kwargs)
+
+    def counted_eigvalsh(m, *args, **kwargs):
+        lapack[len(m)] += 1
+        return eigvalsh(m, *args, **kwargs)
 
     def counted_evolve(rho, *args, **kwargs):
         evolved.append(rho.shape)
         return evolve(rho, *args, **kwargs)
 
     monkeypatch.setattr(metrics, "hermitian_eigenvalues", counted_solve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(metrics, "evolve_array", counted_evolve)
     average_over_inputs(kind, 0.6, 0.03, EvolutionConfig(0.25))
-    assert solves == {128: 12, 64: 29, 32: 24}
+    assert solves == {128: 24, 64: 5, 32: 24}
+    assert lapack == {128: 12, 64: 24, 32: 34}
     assert evolved == [(1, 64, 64), (3, 128, 128), (3, 128, 128)]
 
 

@@ -273,6 +273,94 @@ def test_resume_recomputes_error_rows_and_skips_a_cut_off_row(tmp_path,
     assert len(computed) == 3  # all but the complete error-free row
 
 
+def test_error_text_stays_in_its_field(tmp_path, monkeypatch):
+    """An error message with commas and line breaks leaves one line of
+    len(COLUMNS) fields per grid point."""
+    monkeypatch.setenv("SIM_THREADS", "1")
+    real = sweep.average_over_inputs
+
+    def failing_first(kind, alpha, gamma, *args, **kwargs):
+        if (alpha, gamma) == (0.0, 0.0):
+            raise ValueError("segments on sites (2, 3) and (3, 4) overlap\r\n"
+                             "second line")
+        return real(kind, alpha, gamma, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "average_over_inputs", failing_first)
+    cfg = small_config()
+    out = str(tmp_path / "sweep.csv")
+    run_sweep(cfg, out)
+    lines = [l for l in open(out).read().splitlines() if not l.startswith("#")]
+    assert lines[0] == ",".join(sweep.COLUMNS)
+    assert len(lines[1:]) == len(grid_points(cfg))
+    assert all(len(l.split(",")) == len(sweep.COLUMNS) for l in lines[1:])
+    assert lines[1].endswith(",ValueError:segments on sites (2; 3) and "
+                             "(3; 4) overlap second line")
+
+
+def test_an_interrupted_resume_keeps_the_reusable_rows(tmp_path, monkeypatch):
+    """A resume cut off mid-row leaves every reusable row to the next one:
+    the rows it found on disk, and those it computed."""
+    monkeypatch.setenv("SIM_THREADS", "1")
+    cfg = parse_config("dt = 0.5\nprotocols = swap\nalpha_count = 3\n"
+                       "gamma_count = 1\n")
+    fresh = str(tmp_path / "fresh.csv")
+    run_sweep(cfg, fresh)
+    real = sweep.average_over_inputs
+    stages = []  # the alphas each sweep below computes
+
+    def patched(fail=(), stop=()):
+        stages.append([])
+
+        def average(kind, alpha, *args, **kwargs):
+            stages[-1].append(alpha)
+            if alpha in stop:
+                raise KeyboardInterrupt
+            if alpha in fail:
+                raise RuntimeError("boom")
+            return real(kind, alpha, *args, **kwargs)
+        return average
+
+    out = str(tmp_path / "sweep.csv")
+    # the rows at alpha 0 and 1 fail, so a resume computes them again
+    monkeypatch.setattr(sweep, "average_over_inputs", patched(fail={0.0, 1.0}))
+    run_sweep(cfg, out)
+    cfg.resume = True
+    for stop in ({0.0}, {1.0}):
+        monkeypatch.setattr(sweep, "average_over_inputs", patched(stop=stop))
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(cfg, out)
+    monkeypatch.setattr(sweep, "average_over_inputs", patched())
+    run_sweep(cfg, out)
+    # cut off in the first row, then in the last; the row at alpha 0.5 is
+    # never computed again, nor the row at 0 once computed
+    assert stages == [[0.0, 0.5, 1.0], [0.0], [0.0, 1.0], [1.0]]
+    assert open(out, "rb").read() == open(fresh, "rb").read()
+    assert not os.path.exists(out + ".resume")
+
+
+def test_cli_reports_failed_rows(tmp_path, monkeypatch, capsys):
+    """Rows whose point raised are counted on stderr and exit with status 3;
+    a sweep without them exits 0."""
+    monkeypatch.setenv("SIM_THREADS", "1")
+    real = sweep.average_over_inputs
+
+    def failing_swap(kind, *args, **kwargs):
+        if kind is EncodingKind.SWAP:
+            raise RuntimeError("boom")
+        return real(kind, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "average_over_inputs", failing_swap)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FAST + "alpha_count = 3\ngamma_count = 1\n")
+    argv = ["--config", str(cfg_path), "--out", str(tmp_path)]
+    assert cli.main(argv) == 3
+    assert "3 of 6 rows failed" in capsys.readouterr().err
+    cfg_path.write_text(FAST + "protocols = scrambling\nalpha_count = 3\n"
+                        "gamma_count = 1\n")
+    assert cli.main(argv) == 0
+    assert "failed" not in capsys.readouterr().err
+
+
 def test_rows_are_appended_once_each(tmp_path, monkeypatch):
     monkeypatch.setenv("SIM_THREADS", "1")
     real = sweep._write_rows

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,43 @@ def test_hermitian_eigenvalue_sum_equals_trace():
 def test_hermitian_eigenvalues_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         hermitian_eigenvalues(np.array([[0, 1], [0, 0.0]]))
+
+
+def solved(m):
+    """hermitian_eigenvalues(m), and the sizes of the LAPACK solves it made."""
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a):
+        sizes.append(len(a))
+        return eigvalsh(a)
+
+    with mock.patch.object(np.linalg, "eigvalsh", counted):
+        return hermitian_eigenvalues(m), sizes
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(2, 32), st.integers(0, 2 ** 32 - 1), st.integers(0, 300))
+def test_parity_blocks_are_solved_apart(d, seed, exponent):
+    """A Hermitian matrix with no entry between basis indices of opposite bit
+    parity is solved as its even and odd blocks, whose union, ascending,
+    is the full spectrum; one such entry, however small, and its mirror
+    send it to one full solve."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = (a + a.conj().T) / 2
+    odd = np.array([bin(k).count("1") % 2 for k in range(d)], dtype=bool)
+    h[odd[:, None] != odd] = 0
+    ev, sizes = solved(h)
+    assert sizes == [int(np.sum(~odd)), int(np.sum(odd))]
+    assert np.all(np.diff(ev) >= 0)
+    assert np.max(np.abs(ev - np.linalg.eigvalsh(h))) <= 1e-12
+    i = int(rng.choice(np.flatnonzero(~odd)))
+    j = int(rng.choice(np.flatnonzero(odd)))
+    h[i, j] = 10.0 ** -exponent * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    h[j, i] = np.conj(h[i, j])
+    ev, sizes = solved(h)
+    assert sizes == [d]
+    assert np.array_equal(ev, np.linalg.eigvalsh(h))
 
 
 @settings(max_examples=20, deadline=None)

@@ -28,7 +28,7 @@ def test_tracer_installs_every_span_and_uninstalls():
         tracer.uninstall()
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original
-    # 2 x 6 cuts at t2 (X+, Y+), 2 x 6 x 2 parity blocks at t2 (Z+, Z-),
-    # 5 at t1 on qubits 2..7, 6 x 4 on the heralded states
-    assert tracer.totals()["counts"]["tensor_core.eigvalsh_calls"] == 65
+    # 4 x 6 cuts at t2 (X+, Y+, Z+, Z-), 5 at t1 on qubits 2..7, 6 x 4 on
+    # the heralded states
+    assert tracer.totals()["counts"]["tensor_core.eigvalsh_calls"] == 53
     assert "metrics.total_negativity" in tracer.totals()["self_s"]
