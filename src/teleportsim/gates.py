@@ -18,6 +18,7 @@ CNOT/HAD.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -226,8 +227,9 @@ def parse_schedule_text(text: str) -> ParsedSchedule:
     return ParsedSchedule(tuple(entries), *(times[t][1] for t in ("t1", "t2", "t3")))
 
 
+@functools.cache
 def load_schedule(kind: str) -> ParsedSchedule:
-    """Load a packaged schedule transcription file ('scrambling' or 'swap')."""
+    """Load a packaged schedule file ('scrambling' or 'swap'), once per kind."""
     path = resources.files(__package__) / "schedules" / f"{kind}.sched"
     return parse_schedule_text(path.read_text())
 

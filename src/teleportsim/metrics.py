@@ -16,6 +16,7 @@ from . import gates, protocol
 from .evolution import EvolutionConfig, NoiseModel, evolve_array
 from .protocol import (EncodingKind, InputState, PAULI_EIGENSTATES,
                        PostselectionImpossibleError)
+# bench/tracer.py patches partial_transpose here, by name
 from .tensor_core import (hermitian_eigenvalues, num_qubits, partial_trace,
                           partial_transpose)
 
@@ -37,16 +38,19 @@ def purity(rho: np.ndarray) -> float:
 
 
 def log_negativity(rho: np.ndarray, subsystem_b, log_base: float = 2) -> float:
-    """log(1 + 2N) with N the absolute sum of negative eigenvalues of rho^T_B.
+    """log(1 + 2N) with N the absolute sum of negative eigenvalues of rho^T_B;
+    eigenvalues smaller than 1e-12 in magnitude are treated as zero."""
+    return _log_negativities(rho, [subsystem_b], log_base)[0]
 
-    Eigenvalues smaller than 1e-12 in magnitude are treated as zero.
-    """
-    ev = hermitian_eigenvalues(partial_transpose(rho, subsystem_b))
-    ev = ev[np.abs(ev) >= NEGATIVITY_EIGENVALUE_CUTOFF]
-    two_n_plus_1 = 1 + 2 * float(np.sum((np.abs(ev) - ev) / 2))
-    if log_base == 2:
-        return math.log2(two_n_plus_1)
-    return math.log(two_n_plus_1) / math.log(log_base)
+
+def _log_negativities(rho: np.ndarray, cuts, log_base: float) -> list[float]:
+    """log_negativity of rho for each subsystem B in cuts, one solver call."""
+    log = math.log2 if log_base == 2 else lambda x: math.log(x, log_base)
+    out = []
+    for ev in hermitian_eigenvalues(rho, cuts):
+        ev = ev[np.abs(ev) >= NEGATIVITY_EIGENVALUE_CUTOFF]
+        out.append(log(1 + float(np.sum(np.abs(ev) - ev))))  # log(1 + 2N)
+    return out
 
 
 def cut_negativities(sigma: np.ndarray, sites, n: int,
@@ -55,17 +59,13 @@ def cut_negativities(sigma: np.ndarray, sites, n: int,
     n-qubit state that is sigma on the ascending `sites` and a product of
     single-qubit states on the other qubits. A single-qubit factor adds
     nothing to a cut, so each is sigma's cut at its sites left of k (zero if
-    sigma stays whole), and equal cuts share one solve on sigma."""
+    sigma stays whole); sigma's distinct cuts take one solver call."""
     m = num_qubits(sigma)
-    by_split: dict[int, float] = {0: 0.0, m: 0.0}
-    out = []
-    for k in range(1, n):
-        split = sum(q <= k for q in sites)
-        if split not in by_split:
-            by_split[split] = log_negativity(
-                sigma, tuple(range(split + 1, m + 1)), log_base)
-        out.append(by_split[split])
-    return out
+    splits = [sum(q <= k for q in sites) for k in range(1, n)]
+    cut = sorted(set(splits) - {0, m})
+    negs = _log_negativities(sigma, [tuple(range(s + 1, m + 1)) for s in cut], log_base)
+    by_split = {0: 0.0, m: 0.0, **dict(zip(cut, negs))}
+    return [by_split[s] for s in splits]
 
 
 def total_negativity(rho: np.ndarray, log_base: float = 2) -> float:

@@ -9,6 +9,7 @@ heralds the Bell state (|00> + |11>)/sqrt(2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -69,6 +70,7 @@ class ProtocolSchedule:
     t3: float
 
 
+@functools.lru_cache(maxsize=16)
 def _check_schedule(parsed: gates.ParsedSchedule) -> None:
     """Raise ValueError unless 0 < t1 < t2 < t3 and each gate lies in [0, t3]
     on the register, overlaps no gate on a shared qubit, spares qubit 1 if
@@ -110,7 +112,7 @@ def build_schedule(kind: EncodingKind, alpha: float,
 
     measurement_pair retargets the CNOT/HAD rotations (and the subsequent
     projection) to one of the pairs (3,4), (2,5), (1,6). _check_schedule
-    judges the lines as written, before any PARAM is evaluated.
+    judges each distinct schedule once, before any PARAM is evaluated.
     """
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")

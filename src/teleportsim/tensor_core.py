@@ -7,6 +7,8 @@ the bit string (q1 q2 ... qn).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 HERMITICITY_ATOL = 1e-10
@@ -42,7 +44,7 @@ def check_density_matrix(m: np.ndarray) -> None:
     """Check that m is a 2^n x 2^n density matrix: Hermitian, unit trace
     and PSD within the tolerances; raise ValueError on violation."""
     num_qubits(m)
-    lo = float(hermitian_eigenvalues(m)[0])
+    lo = float(hermitian_eigenvalues(m, [()])[0][0])
     tr = abs(np.trace(m) - 1.0)
     if tr > TRACE_ATOL:
         raise ValueError(f"trace deviates from 1 by {tr:.3e}")
@@ -79,34 +81,38 @@ def partial_transpose(rho: np.ndarray, subsystem_b) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(perm).reshape(rho.shape))
 
 
-def _odd_parity(d: int) -> np.ndarray:
-    """Whether each basis index 0..d-1 has an odd number of 1 bits. The
-    indices 2^k..2^(k+1)-1 are those below 2^k with bit k set, so each has
-    the opposite parity."""
-    odd = np.zeros(1, dtype=bool)
-    while len(odd) < d:
-        odd = np.concatenate([odd, ~odd])
-    return odd[:d]
+@functools.cache
+def _parity(d: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Whether each basis index 0..d-1 has odd bit parity, and the flat indices
+    of a d x d matrix's even and odd blocks: one stack if of one size (d = 2^n)."""
+    odd = np.array([bin(k).count("1") % 2 for k in range(d)], dtype=bool)
+    flat = [i[:, None] * d + i for i in (np.flatnonzero(~odd), np.flatnonzero(odd))]
+    return odd, (np.stack(flat),) if len(flat[0]) == len(flat[1]) else tuple(flat)
 
 
 def commutes_with_parity(m: np.ndarray) -> bool:
     """Whether the square matrix m has no nonzero entry between basis indices
     of opposite bit parity: for a 2^n x 2^n m, whether it commutes exactly
     with the parity Z^(x)n."""
-    odd = _odd_parity(len(m))
-    return not (m[odd][:, ~odd].any() or m[~odd][:, odd].any())
+    odd = _parity(len(m))[0]
+    return not m[odd[:, None] != odd].any()
 
 
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending. A matrix that
-    commutes with the parity is the direct sum of its even and odd blocks,
-    so it is solved as those two."""
+def hermitian_eigenvalues(m: np.ndarray, transposed) -> list[np.ndarray]:
+    """Ascending eigenvalues of the partial transpose of the Hermitian m over
+    each qubit set in `transposed`, () being m. A transpose maps mirror pairs
+    (i, j), (j, i) to mirror pairs, keeping the parity of i + j, so m's checks
+    hold for each; if m commutes with the parity, each is solved as two blocks."""
     m = np.asarray(m)
     dev = np.max(np.abs(m - m.conj().T))
-    if dev > HERMITICITY_ATOL:
+    # written so that a NaN fails it
+    if not dev <= HERMITICITY_ATOL:
         raise NonHermitianError(f"matrix not Hermitian: max deviation {dev:.3e}")
-    if not commutes_with_parity(m):
-        return np.linalg.eigvalsh(m)
-    odd = _odd_parity(len(m))
-    return np.sort(np.concatenate(
-        [np.linalg.eigvalsh(m[np.ix_(block, block)]) for block in (~odd, odd)]))
+    blocks = _parity(len(m))[1] if commutes_with_parity(m) else None
+    spectra = []
+    for b in transposed:
+        pt = partial_transpose(m, b) if len(b) else m
+        parts = [pt] if blocks is None else [pt.take(i) for i in blocks]
+        spectra.append(np.sort(np.concatenate(
+            [np.linalg.eigvalsh(p).ravel() for p in parts])))
+    return spectra

@@ -5,7 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from teleportsim import evolution, gates, metrics
+from teleportsim import evolution, gates, metrics, sweep
 from teleportsim.evolution import EvolutionConfig
 from teleportsim.metrics import (average_over_inputs, cut_negativities,
                                  fidelity, log_negativity, purity,
@@ -13,7 +13,8 @@ from teleportsim.metrics import (average_over_inputs, cut_negativities,
 from teleportsim.protocol import (EncodingKind, MEASUREMENT_PAIRS,
                                   PAULI_EIGENSTATES, pair_block,
                                   project_pair)
-from teleportsim.tensor_core import partial_trace, partial_transpose
+from teleportsim.tensor_core import (NonHermitianError, partial_trace,
+                                     partial_transpose)
 
 import oracle
 from conftest import with_schedule
@@ -62,6 +63,18 @@ def test_log_negativity_zero_for_separable_mixtures():
             rho += p * np.outer(v, v.conj())
         val = log_negativity(rho, (2,))
         assert val == pytest.approx(0, abs=1e-10)
+
+
+@pytest.mark.parametrize("entries", [[(0, 0)], [(0, 1), (1, 0)]])
+def test_a_nan_state_has_no_negativity(entries):
+    """A NaN entry, on the diagonal or mirrored off it, fails the solver's
+    Hermiticity check; the 1e-12 cutoff used to drop the NaN eigenvalues
+    and read 0.0."""
+    rho = np.eye(4, dtype=complex) / 4
+    for e in entries:
+        rho[e] = np.nan
+    with pytest.raises(NonHermitianError, match="max deviation nan"):
+        log_negativity(rho, (2,))
 
 
 def test_total_negativity_product_state_is_zero():
@@ -247,13 +260,14 @@ def test_t2_states_obey_the_parity_relations(kind, rate_convention):
 @pytest.mark.parametrize("kind", list(EncodingKind))
 def test_work_per_point(kind, monkeypatch):
     """One point makes three evolve_array calls (qubits 2..7 to t1, then the
-    three channel operators to t2 and to t3) and 53 solver calls: 24 at
-    128 x 128 (the t2 cuts of X+, Y+, Z+ and Z-), 5 at 64 x 64 (the t1
-    cuts on qubits 2..7) and 24 at 32 x 32 (4 per input on the heralded
-    5-qubit states). The solver takes a state that commutes with the parity
-    as two half-size blocks: Z+ and Z- at t2 and the t1 state do, so LAPACK
-    makes 70 solves: 12 at 128 x 128, 24 at 64 x 64 and 10 + 24 at 32 x 32.
-    Round-off between the parity sectors would show as more full solves."""
+    three channel operators to t2 and to t3) and 11 solver calls, one per
+    state for all its cuts: 4 at 128 x 128 (X+, Y+, Z+ and Z- at t2, 6 cuts
+    each), 1 at 64 x 64 (the t1 state of qubits 2..7, 5 cuts) and 6 at
+    32 x 32 (the heralded 5-qubit states, 4 cuts each). The solver takes a
+    state that commutes with the parity as two half-size blocks: Z+ and Z-
+    at t2 and the t1 state do, so LAPACK solves 70 matrices: 12 at
+    128 x 128, 24 at 64 x 64 and 10 + 24 at 32 x 32. Round-off between the
+    parity sectors would show as more full solves."""
     solves, lapack, evolved = Counter(), Counter(), []
     solve, eigvalsh = metrics.hermitian_eigenvalues, np.linalg.eigvalsh
     evolve = metrics.evolve_array
@@ -263,7 +277,8 @@ def test_work_per_point(kind, monkeypatch):
         return solve(m, *args, **kwargs)
 
     def counted_eigvalsh(m, *args, **kwargs):
-        lapack[len(m)] += 1
+        # a stack of matrices is one solve each
+        lapack[m.shape[-1]] += m.size // m.shape[-1] ** 2
         return eigvalsh(m, *args, **kwargs)
 
     def counted_evolve(rho, *args, **kwargs):
@@ -274,7 +289,7 @@ def test_work_per_point(kind, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(metrics, "evolve_array", counted_evolve)
     average_over_inputs(kind, 0.6, 0.03, EvolutionConfig(0.25))
-    assert solves == {128: 24, 64: 5, 32: 24}
+    assert solves == {128: 4, 64: 1, 32: 6}
     assert lapack == {128: 12, 64: 24, 32: 34}
     assert evolved == [(1, 64, 64), (3, 128, 128), (3, 128, 128)]
 
@@ -385,6 +400,24 @@ def test_nan_start_in_a_schedule_is_an_error(monkeypatch):
     with pytest.raises(gates.ScheduleError, match=f"line {at + 1}: START must "
                        f"be a finite number, got 'nan'"):
         average_over_inputs(EncodingKind.SWAP, 1.0, 0.0, cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_in_a_point_state_gives_an_error_row(monkeypatch):
+    """A NaN in the evolved state fails the solver's check, and the sweep
+    writes the point as a row whose error column names it."""
+    evolve = metrics.evolve_array
+
+    def with_nan(rho, *args, **kwargs):
+        out = evolve(rho, *args, **kwargs)
+        out[..., 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(metrics, "evolve_array", with_nan)
+    cfg = sweep.parse_config("dt = 0.25\nprotocols = swap\n")
+    row = sweep._compute_row(((EncodingKind.SWAP, 0.5, 0.03), cfg))
+    assert row.endswith(",NonHermitianError:matrix not Hermitian: max "
+                        "deviation nan")
 
 
 def test_scrambling_purity_falls_to_a_minimum_then_rises_in_gamma():

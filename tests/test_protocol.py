@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from teleportsim import gates
+from teleportsim import gates, protocol
 from teleportsim.evolution import EvolutionConfig, NoiseModel
 from teleportsim.gates import ParsedSchedule, ScheduleEntry
 from teleportsim.metrics import run_protocol
@@ -102,6 +102,31 @@ def test_segment_bounds_check_fails_on_nan(monkeypatch):
         entry = ScheduleEntry("RZ", (2,), start, duration, "0.3")
         with_schedule(monkeypatch, ParsedSchedule((entry,), 1.0, 2.0, 3.0))
         with pytest.raises(ValueError, match="lies outside"):
+            build_schedule(EncodingKind.SWAP, 0.5)
+
+
+def test_schedule_is_parsed_and_checked_once_per_kind(monkeypatch):
+    """Each packaged schedule is parsed once and each distinct schedule is
+    checked once, however many points are built; an injected schedule
+    takes effect on the next build, and one that fails its check raises on
+    every build."""
+    parse, texts = gates.parse_schedule_text, []
+    monkeypatch.setattr(gates, "parse_schedule_text",
+                        lambda text: texts.append(text) or parse(text))
+    gates.load_schedule.cache_clear()
+    protocol._check_schedule.cache_clear()
+    for kind in EncodingKind:
+        for alpha in (0.0, 0.5, 1.0):
+            for pair in MEASUREMENT_PAIRS:
+                build_schedule(kind, alpha, pair)
+    assert len(texts) == 2
+    assert protocol._check_schedule.cache_info().misses == 2
+    with_schedule(monkeypatch, "GATE RZ SITES 2 START 0 DUR 2 PARAM 0.3\n")
+    assert [s.sites for s in build_schedule(EncodingKind.SWAP, 0.5).segments] \
+        == [(2,)]
+    with_schedule(monkeypatch, "GATE RZ SITES 1 START 0 DUR 2 PARAM 0.3\n")
+    for _ in range(3):
+        with pytest.raises(ValueError, match="must be idle until t1"):
             build_schedule(EncodingKind.SWAP, 0.5)
 
 

@@ -150,32 +150,34 @@ def test_partial_transpose_rejects_trivial_subsystems():
 
 
 def test_hermitian_eigenvalues_examples():
-    assert np.allclose(hermitian_eigenvalues(np.diag([3.0, 1, 2])), [1, 2, 3])
-    assert np.allclose(hermitian_eigenvalues(X), [-1, 1])
+    assert np.allclose(hermitian_eigenvalues(np.diag([3.0, 1, 2]), [()])[0],
+                       [1, 2, 3])
+    assert np.allclose(hermitian_eigenvalues(X, [()])[0], [-1, 1])
 
 
 def test_hermitian_eigenvalue_sum_equals_trace():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     h = (a + a.conj().T) / 2
-    assert abs(np.sum(hermitian_eigenvalues(h)) - np.trace(h).real) < 1e-8
+    assert abs(np.sum(hermitian_eigenvalues(h, [()])[0]) - np.trace(h).real) < 1e-8
 
 
 def test_hermitian_eigenvalues_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
-        hermitian_eigenvalues(np.array([[0, 1], [0, 0.0]]))
+        hermitian_eigenvalues(np.array([[0, 1], [0, 0.0]]), [()])
 
 
 def solved(m):
-    """hermitian_eigenvalues(m), and the sizes of the LAPACK solves it made."""
+    """hermitian_eigenvalues(m, [()])[0], and the sizes of the LAPACK solves
+    it made, a stack of matrices being one solve each."""
     sizes, eigvalsh = [], np.linalg.eigvalsh
 
     def counted(a):
-        sizes.append(len(a))
+        sizes.extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
         return eigvalsh(a)
 
     with mock.patch.object(np.linalg, "eigvalsh", counted):
-        return hermitian_eigenvalues(m), sizes
+        return hermitian_eigenvalues(m, [()])[0], sizes
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -201,6 +203,35 @@ def test_parity_blocks_are_solved_apart(d, seed, exponent):
     ev, sizes = solved(h)
     assert sizes == [d]
     assert np.array_equal(ev, np.linalg.eigvalsh(h))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_cut_spectra_match_full_solves(data):
+    """Each qubit set's spectrum, from one solver call on the state, is the
+    ascending full solve of its partial transpose, () giving the state's
+    own; a non-Hermitian or NaN state raises before any LAPACK call."""
+    n = data.draw(st.integers(1, 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    d = 2 ** n
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = (a + a.conj().T) / 2
+    if data.draw(st.booleans()):
+        odd = np.array([bin(k).count("1") % 2 for k in range(d)], dtype=bool)
+        h[odd[:, None] != odd] = 0
+    sets = st.lists(st.integers(1, n), unique=True, max_size=n - 1).map(tuple)
+    transposed = data.draw(st.permutations(data.draw(st.lists(sets)) + [()]))
+    spectra = hermitian_eigenvalues(h, transposed)
+    assert len(spectra) == len(transposed)
+    for b, ev in zip(transposed, spectra):
+        full = np.linalg.eigvalsh(partial_transpose(h, b) if b else h)
+        assert np.all(np.diff(ev) >= 0)
+        assert np.max(np.abs(ev - full)) <= 1e-12
+    i, j = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
+    h[i, j] = np.nan if data.draw(st.booleans()) else h[i, j] + 1e-9j + 1e-9
+    with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError):
+        with pytest.raises(NonHermitianError):
+            hermitian_eigenvalues(h, transposed)
 
 
 @settings(max_examples=20, deadline=None)
