@@ -33,30 +33,6 @@ MAX_COMPONENT_QUBITS = 3
 
 
 @dataclass(frozen=True)
-class KrausPair:
-    """The two single-qubit dephasing Kraus operators for one time bin."""
-
-    k1: np.ndarray
-    k2: np.ndarray
-
-
-def dephasing_kraus(gamma: float, dt: float) -> KrausPair:
-    """Kraus pair K1 = diag(e^{-gamma dt}, 1), K2 = diag(sqrt(1-e^{-2 gamma dt}), 0).
-
-    Completeness K1'K1 + K2'K2 = I holds exactly in closed form.
-    """
-    # written so that a NaN setting fails them
-    if not gamma >= 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    decay = np.exp(-gamma * dt)
-    k1 = np.diag([decay, 1.0]).astype(complex)
-    k2 = np.diag([np.sqrt(max(0.0, 1.0 - decay ** 2)), 0.0]).astype(complex)
-    return KrausPair(k1, k2)
-
-
-@dataclass(frozen=True)
 class NoiseModel:
     """Uniform per-qubit dephasing with jump operators n_i = (1 + Z_i)/2.
 

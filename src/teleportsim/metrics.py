@@ -1,8 +1,8 @@
 """The protocol pipeline and its observables: the protocol evolved as a
 linear channel on qubit 1's input, teleportation fidelity, purity,
-logarithmic negativity (single-cut and summed over all contiguous cuts),
-entanglement deltas, and their averages over the six Pauli-eigenstate
-inputs.
+logarithmic negativity (of each cut in a list, and summed over all
+contiguous cuts), entanglement deltas, and their averages over the six
+Pauli-eigenstate inputs.
 """
 
 from __future__ import annotations
@@ -37,14 +37,10 @@ def purity(rho: np.ndarray) -> float:
     return float(np.sum(np.abs(rho) ** 2))
 
 
-def log_negativity(rho: np.ndarray, subsystem_b, log_base: float = 2) -> float:
-    """log(1 + 2N) with N the absolute sum of negative eigenvalues of rho^T_B;
+def log_negativity(rho: np.ndarray, cuts, log_base: float = 2) -> list[float]:
+    """log(1 + 2N) for each subsystem B in cuts, with N the absolute sum of
+    the negative eigenvalues of rho^T_B, all from one solver call;
     eigenvalues smaller than 1e-12 in magnitude are treated as zero."""
-    return _log_negativities(rho, [subsystem_b], log_base)[0]
-
-
-def _log_negativities(rho: np.ndarray, cuts, log_base: float) -> list[float]:
-    """log_negativity of rho for each subsystem B in cuts, one solver call."""
     log = math.log2 if log_base == 2 else lambda x: math.log(x, log_base)
     out = []
     for ev in hermitian_eigenvalues(rho, cuts):
@@ -63,7 +59,7 @@ def cut_negativities(sigma: np.ndarray, sites, n: int,
     m = num_qubits(sigma)
     splits = [sum(q <= k for q in sites) for k in range(1, n)]
     cut = sorted(set(splits) - {0, m})
-    negs = _log_negativities(sigma, [tuple(range(s + 1, m + 1)) for s in cut], log_base)
+    negs = log_negativity(sigma, [tuple(range(s + 1, m + 1)) for s in cut], log_base)
     by_split = {0: 0.0, m: 0.0, **dict(zip(cut, negs))}
     return [by_split[s] for s in splits]
 

@@ -148,6 +148,10 @@ def project_pair(block: np.ndarray, pair: tuple[int, int]) -> tuple[np.ndarray, 
         raise ValueError(f"expected the pair's {d} x {d} block, got shape "
                          f"{block.shape}")
     prob = float(np.real(np.trace(block)))
+    # written so that a NaN fails it, before any division by it
+    if not np.isfinite(prob):
+        raise ValueError(f"heralded outcome on pair {pair} has a non-finite "
+                         f"probability {prob}")
     if prob < POSTSELECTION_EPS:
         raise PostselectionImpossibleError(
             f"heralded outcome on pair {pair} has probability {prob:.3e}"

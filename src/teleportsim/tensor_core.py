@@ -12,8 +12,6 @@ import functools
 import numpy as np
 
 HERMITICITY_ATOL = 1e-10
-TRACE_ATOL = 1e-8
-PSD_ATOL = 1e-8
 
 
 class NonHermitianError(ValueError):
@@ -38,18 +36,6 @@ def num_qubits(m: np.ndarray) -> int:
     if shape != (2 ** n, 2 ** n):
         raise ValueError(f"expected a 2^n x 2^n matrix, got shape {shape}")
     return n
-
-
-def check_density_matrix(m: np.ndarray) -> None:
-    """Check that m is a 2^n x 2^n density matrix: Hermitian, unit trace
-    and PSD within the tolerances; raise ValueError on violation."""
-    num_qubits(m)
-    lo = float(hermitian_eigenvalues(m, [()])[0][0])
-    tr = abs(np.trace(m) - 1.0)
-    if tr > TRACE_ATOL:
-        raise ValueError(f"trace deviates from 1 by {tr:.3e}")
-    if lo < -PSD_ATOL:
-        raise ValueError(f"not PSD: min eigenvalue {lo:.3e}")
 
 
 def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
@@ -82,37 +68,40 @@ def partial_transpose(rho: np.ndarray, subsystem_b) -> np.ndarray:
 
 
 @functools.cache
-def _parity(d: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Whether each basis index 0..d-1 has odd bit parity, and the flat indices
-    of a d x d matrix's even and odd blocks: one stack if of one size (d = 2^n)."""
-    odd = np.array([bin(k).count("1") % 2 for k in range(d)], dtype=bool)
-    flat = [i[:, None] * d + i for i in (np.flatnonzero(~odd), np.flatnonzero(odd))]
-    return odd, (np.stack(flat),) if len(flat[0]) == len(flat[1]) else tuple(flat)
+def _parity(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each basis index of n >= 1 qubits has odd bit parity, and the
+    flat indices of a 2^n x 2^n matrix's even and odd blocks, stacked."""
+    if n < 1:
+        raise ValueError("expected a 2^n x 2^n matrix with n >= 1, got 1 x 1")
+    odd = np.array([bin(k).count("1") % 2 for k in range(2 ** n)], dtype=bool)
+    return odd, np.stack([i[:, None] * 2 ** n + i
+                          for i in (np.flatnonzero(~odd), np.flatnonzero(odd))])
 
 
 def commutes_with_parity(m: np.ndarray) -> bool:
-    """Whether the square matrix m has no nonzero entry between basis indices
-    of opposite bit parity: for a 2^n x 2^n m, whether it commutes exactly
-    with the parity Z^(x)n."""
-    odd = _parity(len(m))[0]
+    """Whether the 2^n x 2^n matrix m, n >= 1, has no nonzero entry between
+    basis indices of opposite bit parity: whether it commutes exactly with
+    the parity Z^(x)n."""
+    odd = _parity(num_qubits(m))[0]
     return not m[odd[:, None] != odd].any()
 
 
 def hermitian_eigenvalues(m: np.ndarray, transposed) -> list[np.ndarray]:
-    """Ascending eigenvalues of the partial transpose of the Hermitian m over
-    each qubit set in `transposed`, () being m. A transpose maps mirror pairs
-    (i, j), (j, i) to mirror pairs, keeping the parity of i + j, so m's checks
-    hold for each; if m commutes with the parity, each is solved as two blocks."""
+    """Ascending eigenvalues of the partial transpose of the Hermitian
+    2^n x 2^n m, n >= 1, over each qubit set in `transposed`, () being m. A
+    transpose maps mirror pairs (i, j), (j, i) to mirror pairs, keeping the
+    parity of i + j, so m's checks hold for each; if m commutes with the
+    parity, each is solved as its even and odd blocks, in one stacked call."""
     m = np.asarray(m)
+    blocks = _parity(num_qubits(m))[1]
     dev = np.max(np.abs(m - m.conj().T))
     # written so that a NaN fails it
     if not dev <= HERMITICITY_ATOL:
         raise NonHermitianError(f"matrix not Hermitian: max deviation {dev:.3e}")
-    blocks = _parity(len(m))[1] if commutes_with_parity(m) else None
+    split = commutes_with_parity(m)
     spectra = []
     for b in transposed:
         pt = partial_transpose(m, b) if len(b) else m
-        parts = [pt] if blocks is None else [pt.take(i) for i in blocks]
-        spectra.append(np.sort(np.concatenate(
-            [np.linalg.eigvalsh(p).ravel() for p in parts])))
+        spectra.append(np.sort(np.linalg.eigvalsh(
+            pt.take(blocks) if split else pt).ravel()))
     return spectra

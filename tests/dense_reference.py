@@ -8,6 +8,9 @@ exp(-r dt hamming(a, b)). This is the same Trotterized model the package
 computes, written the slow and obvious way. `scrambling_unitary` composes
 the encoder from the packaged schedule lines the same way, and
 `initial_state` is the 7-qubit state each input starts from.
+`dephasing_kraus` is the per-qubit Kraus pair whose conjugation the mask
+reproduces, and `check_density_matrix` the trace, Hermiticity and PSD check
+the tests apply to evolved and heralded states.
 """
 
 from __future__ import annotations
@@ -18,7 +21,38 @@ from scipy.linalg import expm
 from teleportsim.evolution import EvolutionConfig, NoiseModel
 from teleportsim.gates import ParsedSchedule, entry_segment, load_schedule
 from teleportsim.protocol import NUM_QUBITS, InputState
-from teleportsim.tensor_core import check_sites, num_qubits
+from teleportsim.tensor_core import (check_sites, hermitian_eigenvalues,
+                                     num_qubits)
+
+TRACE_ATOL = 1e-8
+PSD_ATOL = 1e-8
+
+
+def check_density_matrix(m: np.ndarray) -> None:
+    """Check that m is a 2^n x 2^n density matrix: Hermitian, unit trace
+    and PSD within the tolerances; raise ValueError on violation."""
+    lo = float(hermitian_eigenvalues(m, [()])[0][0])
+    tr = abs(np.trace(m) - 1.0)
+    if tr > TRACE_ATOL:
+        raise ValueError(f"trace deviates from 1 by {tr:.3e}")
+    if lo < -PSD_ATOL:
+        raise ValueError(f"not PSD: min eigenvalue {lo:.3e}")
+
+
+def dephasing_kraus(gamma: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus pair K1 = diag(e^{-gamma dt}, 1), K2 = diag(sqrt(1-e^{-2 gamma dt}), 0).
+
+    Completeness K1'K1 + K2'K2 = I holds exactly in closed form.
+    """
+    # written so that a NaN setting fails them
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    decay = np.exp(-gamma * dt)
+    k1 = np.diag([decay, 1.0]).astype(complex)
+    k2 = np.diag([np.sqrt(max(0.0, 1.0 - decay ** 2)), 0.0]).astype(complex)
+    return k1, k2
 
 
 def embed(op: np.ndarray, sites, n: int) -> np.ndarray:

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teleportsim import evolution
-from teleportsim.evolution import (EvolutionConfig, NoiseModel,
-                                   dephasing_kraus, evolve_array)
+from teleportsim.evolution import EvolutionConfig, NoiseModel, evolve_array
 from teleportsim.gates import GateSegment, gate_generator
-from teleportsim.tensor_core import check_density_matrix
 
 import dense_reference
 import oracle
-from dense_reference import (dephasing_mask, dissipative_step, embed,
+from dense_reference import (check_density_matrix, dephasing_kraus,
+                             dephasing_mask, dissipative_step, embed,
                              hamming_matrix, unitary_step)
 
 
@@ -24,28 +23,28 @@ def random_density(rng, n):
 
 def kraus_oracle(rho, gamma, dt, n, order=None):
     """Explicit per-qubit Kraus conjugation, the slow reference path."""
-    pair = dephasing_kraus(gamma, dt)
+    k1, k2 = dephasing_kraus(gamma, dt)
     m = rho.copy()
     for q in order or range(1, n + 1):
-        k1 = embed(pair.k1, (q,), n)
-        k2 = embed(pair.k2, (q,), n)
-        m = k1 @ m @ k1.conj().T + k2 @ m @ k2.conj().T
+        big1 = embed(k1, (q,), n)
+        big2 = embed(k2, (q,), n)
+        m = big1 @ m @ big1.conj().T + big2 @ m @ big2.conj().T
     return m
 
 
 def test_kraus_pair_values():
-    pair = dephasing_kraus(0.0, 0.01)
-    assert np.allclose(pair.k1, np.eye(2))
-    assert np.allclose(pair.k2, np.zeros((2, 2)))
-    pair = dephasing_kraus(0.06, 0.01)
+    k1, k2 = dephasing_kraus(0.0, 0.01)
+    assert np.allclose(k1, np.eye(2))
+    assert np.allclose(k2, np.zeros((2, 2)))
+    k1, k2 = dephasing_kraus(0.06, 0.01)
     decay = np.exp(-0.06 * 0.01)
-    assert np.allclose(pair.k1, np.diag([decay, 1]))
-    assert np.allclose(pair.k2, np.diag([np.sqrt(1 - decay ** 2), 0]))
+    assert np.allclose(k1, np.diag([decay, 1]))
+    assert np.allclose(k2, np.diag([np.sqrt(1 - decay ** 2), 0]))
 
 
 def test_kraus_completeness():
-    pair = dephasing_kraus(0.06, 0.01)
-    total = pair.k1.conj().T @ pair.k1 + pair.k2.conj().T @ pair.k2
+    k1, k2 = dephasing_kraus(0.06, 0.01)
+    total = k1.conj().T @ k1 + k2.conj().T @ k2
     assert np.max(np.abs(total - np.eye(2))) < 1e-14
 
 

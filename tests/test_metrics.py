@@ -45,9 +45,9 @@ def test_purity_endpoints():
 
 
 def test_log_negativity_bell_pair_is_one():
-    assert log_negativity(BELL_RHO, (2,)) == pytest.approx(1, abs=1e-12)
+    assert log_negativity(BELL_RHO, [(2,)])[0] == pytest.approx(1, abs=1e-12)
     # natural-log convention scales by ln 2
-    assert log_negativity(BELL_RHO, (2,), log_base=np.e) == pytest.approx(np.log(2))
+    assert log_negativity(BELL_RHO, [(2,)], log_base=np.e)[0] == pytest.approx(np.log(2))
 
 
 def test_log_negativity_zero_for_separable_mixtures():
@@ -61,7 +61,7 @@ def test_log_negativity_zero_for_separable_mixtures():
             a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
             v = np.kron(a, b)
             rho += p * np.outer(v, v.conj())
-        val = log_negativity(rho, (2,))
+        val = log_negativity(rho, [(2,)])[0]
         assert val == pytest.approx(0, abs=1e-10)
 
 
@@ -74,7 +74,7 @@ def test_a_nan_state_has_no_negativity(entries):
     for e in entries:
         rho[e] = np.nan
     with pytest.raises(NonHermitianError, match="max deviation nan"):
-        log_negativity(rho, (2,))
+        log_negativity(rho, [(2,)])[0]
 
 
 def test_total_negativity_product_state_is_zero():
@@ -115,7 +115,7 @@ def test_pairwise_total_negativity_differs_from_cut_sum():
     ref = oracle.run("swap", 0.0, np.array([1, 0], dtype=complex))
     rho = np.outer(ref["t1"], ref["t1"].conj())
     # neighbor-pair reduced states: only (3,4) and (6,7) are entangled pairs
-    pairwise = sum(log_negativity(partial_trace(rho, (k, k + 1)), (2,))
+    pairwise = sum(log_negativity(partial_trace(rho, (k, k + 1)), [(2,)])[0]
                    for k in range(1, 7))
     assert pairwise == pytest.approx(2, abs=1e-10)
     assert total_negativity(rho) == pytest.approx(5, abs=1e-10)
@@ -158,7 +158,7 @@ def test_each_pauli_pair_teleports_perfectly_noiseless():
 
 def assert_cuts_match(rho, sigma, sites, log_base):
     """cut_negativities on sigma equals the cuts of the 7-qubit rho."""
-    full = [log_negativity(rho, tuple(range(k + 1, 8)), log_base)
+    full = [log_negativity(rho, [tuple(range(k + 1, 8))], log_base)[0]
             for k in range(1, 7)]
     fast = cut_negativities(sigma, sites, 7, log_base)
     assert max(full) > 0.1
@@ -254,7 +254,7 @@ def test_t2_states_obey_the_parity_relations(kind, rate_convention):
                     ev = ev[np.abs(ev) >= metrics.NEGATIVITY_EIGENVALUE_CUTOFF]
                     for log_base in (2, np.e):
                         full = math.log(1 + np.sum(np.abs(ev) - ev), log_base)
-                        assert abs(log_negativity(z, b, log_base) - full) <= 1e-12
+                        assert abs(log_negativity(z, [b], log_base)[0] - full) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", list(EncodingKind))
@@ -404,8 +404,9 @@ def test_nan_start_in_a_schedule_is_an_error(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_nan_in_a_point_state_gives_an_error_row(monkeypatch):
-    """A NaN in the evolved state fails the solver's check, and the sweep
-    writes the point as a row whose error column names it."""
+    """A NaN in the evolved state fails the heralding check, which runs
+    before any solver call, and the sweep writes the point as a row whose
+    error column names it, the pair's comma written as ';'."""
     evolve = metrics.evolve_array
 
     def with_nan(rho, *args, **kwargs):
@@ -416,8 +417,8 @@ def test_a_nan_in_a_point_state_gives_an_error_row(monkeypatch):
     monkeypatch.setattr(metrics, "evolve_array", with_nan)
     cfg = sweep.parse_config("dt = 0.25\nprotocols = swap\n")
     row = sweep._compute_row(((EncodingKind.SWAP, 0.5, 0.03), cfg))
-    assert row.endswith(",NonHermitianError:matrix not Hermitian: max "
-                        "deviation nan")
+    assert row.endswith(",ValueError:heralded outcome on pair (3; 4) has a "
+                        "non-finite probability nan")
 
 
 def test_scrambling_purity_falls_to_a_minimum_then_rises_in_gamma():

@@ -1,4 +1,5 @@
 import re
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -13,12 +14,12 @@ from teleportsim.protocol import (EncodingKind, InputState, MEASUREMENT_PAIRS,
                                   PAULI_EIGENSTATES,
                                   PostselectionImpossibleError, build_schedule,
                                   pair_block, project_pair)
-from teleportsim.tensor_core import check_density_matrix, partial_trace
+from teleportsim.tensor_core import partial_trace
 
 import dense_reference
 import oracle
 from conftest import with_schedule
-from dense_reference import embed, initial_state
+from dense_reference import check_density_matrix, embed, initial_state
 
 CFG = EvolutionConfig(0.01)
 
@@ -175,6 +176,18 @@ def test_bell_measurement_impossible_outcome():
     psi = oracle.apply_gate(psi, oracle.had(), (3,))
     with pytest.raises(PostselectionImpossibleError):
         project_pair(pair_block(np.outer(psi, psi.conj()), (3, 4)), (3, 4))
+
+
+def test_a_nan_heralding_probability_is_an_error():
+    """A NaN fails every comparison, so a NaN probability passed the
+    impossibility check and the block was divided by it; the check now
+    fails on it, before any division, naming the pair and the value."""
+    block = np.full((32, 32), np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"heralded outcome on pair "
+                           r"\(3, 4\) has a non-finite probability nan"):
+            project_pair(block, (3, 4))
 
 
 def test_run_protocol_checkpoints_valid_and_deterministic():

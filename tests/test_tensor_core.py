@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teleportsim.gates import I2, X, Z
-from teleportsim.tensor_core import (NonHermitianError, check_density_matrix,
+from teleportsim.tensor_core import (NonHermitianError, commutes_with_parity,
                                      hermitian_eigenvalues, num_qubits,
                                      partial_trace, partial_transpose)
 
-from dense_reference import embed
+from dense_reference import check_density_matrix, embed
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                 dtype=complex)
@@ -150,9 +150,19 @@ def test_partial_transpose_rejects_trivial_subsystems():
 
 
 def test_hermitian_eigenvalues_examples():
-    assert np.allclose(hermitian_eigenvalues(np.diag([3.0, 1, 2]), [()])[0],
-                       [1, 2, 3])
+    assert np.allclose(hermitian_eigenvalues(np.diag([3.0, 1, 2, 0]), [()])[0],
+                       [0, 1, 2, 3])
     assert np.allclose(hermitian_eigenvalues(X, [()])[0], [-1, 1])
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 1), (2, 4), (6, 6)])
+def test_the_solver_takes_only_qubit_matrices(shape):
+    """The solver and the parity test take 2^n x 2^n matrices with n >= 1;
+    any other shape, 1 x 1 included, is a ValueError."""
+    for call in (lambda m: hermitian_eigenvalues(m, [()]),
+                 commutes_with_parity):
+        with pytest.raises(ValueError, match=r"2\^n x 2\^n"):
+            call(np.eye(*shape))
 
 
 def test_hermitian_eigenvalue_sum_equals_trace():
@@ -181,12 +191,13 @@ def solved(m):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.integers(2, 32), st.integers(0, 2 ** 32 - 1), st.integers(0, 300))
-def test_parity_blocks_are_solved_apart(d, seed, exponent):
-    """A Hermitian matrix with no entry between basis indices of opposite bit
-    parity is solved as its even and odd blocks, whose union, ascending,
-    is the full spectrum; one such entry, however small, and its mirror
-    send it to one full solve."""
+@given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1), st.integers(0, 300))
+def test_parity_blocks_are_solved_apart(n, seed, exponent):
+    """A Hermitian 2^n x 2^n matrix with no entry between basis indices of
+    opposite bit parity is solved as its even and odd blocks, whose union,
+    ascending, is the full spectrum; one such entry, however small, and its
+    mirror send it to one full solve."""
+    d = 2 ** n
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = (a + a.conj().T) / 2

@@ -32,3 +32,5 @@ def test_tracer_installs_every_span_and_uninstalls():
     # t1 on qubits 2..7, 6 on the heralded states
     assert tracer.totals()["counts"]["tensor_core.eigvalsh_calls"] == 4 + 1 + 6
     assert "metrics.total_negativity" in tracer.totals()["self_s"]
+    # cut_negativities calls the public log_negativity, so its span records
+    assert "metrics.log_negativity" in tracer.totals()["self_s"]
