@@ -17,8 +17,8 @@ from .evolution import EvolutionConfig, NoiseModel, evolve_array
 from .protocol import (EncodingKind, InputState, PAULI_EIGENSTATES,
                        PostselectionImpossibleError)
 # bench/tracer.py patches partial_transpose here, by name
-from .tensor_core import (hermitian_eigenvalues, num_qubits, partial_trace,
-                          partial_transpose)
+from .tensor_core import (hermitian_eigenvalues, num_qubits, parity_blocks,
+                          partial_trace, partial_transpose)
 
 NEGATIVITY_EIGENVALUE_CUTOFF = 1e-12
 
@@ -95,7 +95,13 @@ def _evolve_channel(kind: EncodingKind, alpha: float, gamma: float,
     coherence = math.exp(-noise.coherence_rate * sched.t1)
     qubit1 = ([[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, coherence], [0, 0]])
     ops1 = np.stack([np.kron(q1, sigma) for q1 in qubit1])
-    ops2 = evolve_array(ops1, sched.segments, noise, cfg, sched.t1, sched.t2)
+    # A, B, C lie in the even-even, odd-odd, even-odd blocks (sigma is even),
+    # which the channel keeps until t2: their sum is evolved and cut back out
+    packed = evolve_array(ops1.sum(axis=0, keepdims=True), sched.segments,
+                          noise, cfg, sched.t1, sched.t2)[0]
+    ops2 = np.zeros_like(ops1)
+    for image, block in zip(ops2, parity_blocks(n)[1][:3]):
+        image.put(block, packed.take(block))
     ops3 = evolve_array(ops2, sched.segments, noise, cfg, sched.t2, sched.t3)
     return ops1, ops2, ops3
 

@@ -75,8 +75,9 @@ def _check_schedule(parsed: gates.ParsedSchedule) -> None:
     """Raise ValueError unless 0 < t1 < t2 < t3 and each gate lies in [0, t3]
     on the register, overlaps no gate on a shared qubit, spares qubit 1 if
     it starts before t1, and if before t2 is of a kind that commutes with the
-    parity of its sites: metrics evolves qubits 2..n alone until t1, and
-    relates opposite X and Y inputs at t2 by the global parity Z^(x)n."""
+    parity of its sites: metrics evolves qubits 2..n alone until t1, packs
+    its three channel operators, one per parity block, into one from t1 to
+    t2, and relates opposite X and Y inputs at t2 by the parity Z^(x)n."""
     atol = gates.SCHEDULE_TIME_ATOL
     if not 0 < parsed.t1 < parsed.t2 < parsed.t3:
         raise ValueError("checkpoints must satisfy 0 < t1 < t2 < t3")

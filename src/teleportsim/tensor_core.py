@@ -68,40 +68,63 @@ def partial_transpose(rho: np.ndarray, subsystem_b) -> np.ndarray:
 
 
 @functools.cache
-def _parity(n: int) -> tuple[np.ndarray, np.ndarray]:
+def parity_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Whether each basis index of n >= 1 qubits has odd bit parity, and the
-    flat indices of a 2^n x 2^n matrix's even and odd blocks, stacked."""
+    flat indices of a 2^n x 2^n matrix's four parity blocks, stacked:
+    even-even, odd-odd, even-odd and odd-even."""
     if n < 1:
         raise ValueError("expected a 2^n x 2^n matrix with n >= 1, got 1 x 1")
     odd = np.array([bin(k).count("1") % 2 for k in range(2 ** n)], dtype=bool)
-    return odd, np.stack([i[:, None] * 2 ** n + i
-                          for i in (np.flatnonzero(~odd), np.flatnonzero(odd))])
+    e, o = np.flatnonzero(~odd), np.flatnonzero(odd)
+    return odd, np.stack([r[:, None] * 2 ** n + c
+                          for r, c in ((e, e), (o, o), (e, o), (o, e))])
 
 
 def commutes_with_parity(m: np.ndarray) -> bool:
     """Whether the 2^n x 2^n matrix m, n >= 1, has no nonzero entry between
     basis indices of opposite bit parity: whether it commutes exactly with
     the parity Z^(x)n."""
-    odd = _parity(num_qubits(m))[0]
-    return not m[odd[:, None] != odd].any()
+    return not np.ravel(m).take(parity_blocks(num_qubits(m))[1][2:]).any()
+
+
+@functools.cache
+def _quarters(n: int, b: tuple[int, ...], s: int) -> np.ndarray:
+    """Flat indices into a 2^n x 2^n matrix in parity block s (0 even) of the
+    q x q quarters, q = 2^(n-2), holding its partial transpose over b: two on
+    the diagonal and X of [[0, X], [X', 0]]. Labelled by twice the parity of
+    its bits outside b plus that of those in b, an index of m reads s or 3 - s."""
+    pt = partial_transpose(np.arange(4 ** n).reshape(2 ** n, 2 ** n), b)
+    idx, odd = np.arange(2 ** n), parity_blocks(n)[0]
+    in_b = sum(1 << (n - q) for q in b)
+    at = [np.flatnonzero(2 * odd[idx & ~in_b] + odd[idx & in_b] == k) for k in range(4)]
+    return np.stack([pt[np.ix_(at[r], at[c])]
+                     for r, c in ((s, s), (3 - s, 3 - s), (1 - s, 2 + s))])
 
 
 def hermitian_eigenvalues(m: np.ndarray, transposed) -> list[np.ndarray]:
     """Ascending eigenvalues of the partial transpose of the Hermitian
     2^n x 2^n m, n >= 1, over each qubit set in `transposed`, () being m. A
-    transpose maps mirror pairs (i, j), (j, i) to mirror pairs, keeping the
-    parity of i + j, so m's checks hold for each; if m commutes with the
-    parity, each is solved as its even and odd blocks, in one stacked call."""
+    transpose keeps mirror pairs and the parity of i + j, so m's checks hold
+    for each: if m commutes with the parity, each is solved as its two blocks
+    in one stacked call, and if m lies in one, each proper cut as _quarters."""
     m = np.asarray(m)
-    blocks = _parity(num_qubits(m))[1]
+    n = num_qubits(m)
+    blocks = parity_blocks(n)[1]
     dev = np.max(np.abs(m - m.conj().T))
     # written so that a NaN fails it
     if not dev <= HERMITICITY_ATOL:
         raise NonHermitianError(f"matrix not Hermitian: max deviation {dev:.3e}")
-    split = commutes_with_parity(m)
+    split, flat = commutes_with_parity(m), m.ravel()
+    # the parity block m lies in, if split and the other block is all zero
+    sector = next((s for s in (0, 1) if split and not flat[blocks[1 - s]].any()), None)
     spectra = []
     for b in transposed:
-        pt = partial_transpose(m, b) if len(b) else m
-        spectra.append(np.sort(np.linalg.eigvalsh(
-            pt.take(blocks) if split else pt).ravel()))
+        if sector is not None and len(b):
+            x = flat.take(_quarters(n, tuple(b), sector))
+            sv = np.linalg.svd(x[2], compute_uv=False)
+            ev = np.concatenate([np.linalg.eigvalsh(x[:2]).ravel(), sv, -sv])
+        else:
+            pt = partial_transpose(m, b) if len(b) else m
+            ev = np.linalg.eigvalsh(pt.take(blocks[:2]) if split else pt).ravel()
+        spectra.append(np.sort(ev))
     return spectra

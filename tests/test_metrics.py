@@ -5,7 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from teleportsim import evolution, gates, metrics, sweep
+from teleportsim import evolution, gates, metrics, protocol, sweep
 from teleportsim.evolution import EvolutionConfig
 from teleportsim.metrics import (average_over_inputs, cut_negativities,
                                  fidelity, log_negativity, purity,
@@ -228,11 +228,34 @@ def test_average_over_inputs_reduces_run_protocol(kind):
 
 @pytest.mark.parametrize("kind", list(EncodingKind))
 @pytest.mark.parametrize("rate_convention", ["kraus", "lindblad"])
+def test_packed_encode_matches_separate_evolution(kind, rate_convention):
+    """The channel evolves A + B + C from t1 to t2 as one operator and cuts
+    the images back out of its even-even, odd-odd and even-odd parity
+    blocks: bit for bit the images of A, B and C evolved apart, and each
+    exactly zero outside its block."""
+    odd = np.array([bin(k).count("1") % 2 for k in range(128)], dtype=bool)
+    blocks = [(~odd[:, None]) & ~odd, odd[:, None] & odd, (~odd[:, None]) & odd]
+    cfg = EvolutionConfig(0.25)
+    for alpha in (0.0, 0.6, 1.0):
+        sched = protocol.build_schedule(kind, alpha)
+        for gamma in (0.0, 0.03, 0.5):
+            ops1, ops2, _ = metrics._evolve_channel(kind, alpha, gamma, cfg,
+                                                    rate_convention, (3, 4))
+            apart = evolution.evolve_array(
+                ops1, sched.segments, evolution.NoiseModel(gamma, rate_convention),
+                cfg, sched.t1, sched.t2)
+            assert np.array_equal(ops2, apart)
+            for image, block in zip(ops2, blocks):
+                assert not image[~block].any()
+
+
+@pytest.mark.parametrize("kind", list(EncodingKind))
+@pytest.mark.parametrize("rate_convention", ["kraus", "lindblad"])
 def test_t2_states_obey_the_parity_relations(kind, rate_convention):
     """Up to t2 the protocol commutes with the parity P = Z^(x)7, so
     rho2(X-) = P rho2(X+) P, rho2(Y-) = P rho2(Y+) P, and rho2(Z+-) have
     no parity off-diagonal blocks; their cuts, which the solver takes as two
-    64 x 64 blocks each, equal full 128 x 128 solves."""
+    32 x 32 quarters and one 32 x 32 SVD each, equal full 128 x 128 solves."""
     idx = np.arange(128)
     odd = np.zeros(128, dtype=bool)
     for q in range(7):
@@ -259,18 +282,20 @@ def test_t2_states_obey_the_parity_relations(kind, rate_convention):
 
 @pytest.mark.parametrize("kind", list(EncodingKind))
 def test_work_per_point(kind, monkeypatch):
-    """One point makes three evolve_array calls (qubits 2..7 to t1, then the
-    three channel operators to t2 and to t3) and 11 solver calls, one per
-    state for all its cuts: 4 at 128 x 128 (X+, Y+, Z+ and Z- at t2, 6 cuts
-    each), 1 at 64 x 64 (the t1 state of qubits 2..7, 5 cuts) and 6 at
-    32 x 32 (the heralded 5-qubit states, 4 cuts each). The solver takes a
-    state that commutes with the parity as two half-size blocks: Z+ and Z-
-    at t2 and the t1 state do, so LAPACK solves 70 matrices: 12 at
-    128 x 128, 24 at 64 x 64 and 10 + 24 at 32 x 32. Round-off between the
-    parity sectors would show as more full solves."""
-    solves, lapack, evolved = Counter(), Counter(), []
+    """One point makes three evolve_array calls (qubits 2..7 to t1, the
+    three channel operators packed into one to t2, then the three to t3) and
+    11 solver calls, one per state for all its cuts: 4 at 128 x 128 (X+, Y+,
+    Z+ and Z- at t2, 6 cuts each), 1 at 64 x 64 (the t1 state of qubits
+    2..7, 5 cuts) and 6 at 32 x 32 (the heralded 5-qubit states, 4 cuts
+    each). X+ and Y+ mix the parity blocks and take one full solve per cut;
+    Z+, Z- and the t1 state each lie in one parity block, so each cut is
+    solved as two diagonal quarters in one call plus one SVD of a quarter.
+    LAPACK solves 70 matrices: 12 at 128 x 128, 24 + 24 at 32 x 32 and 10 at
+    16 x 16, and takes 17 SVDs: 12 at 32 x 32 and 5 at 16 x 16. Round-off
+    between the parity blocks would show as more full solves."""
+    solves, lapack, svds, evolved = Counter(), Counter(), Counter(), []
     solve, eigvalsh = metrics.hermitian_eigenvalues, np.linalg.eigvalsh
-    evolve = metrics.evolve_array
+    svd, evolve = np.linalg.svd, metrics.evolve_array
 
     def counted_solve(m, *args, **kwargs):
         solves[len(m)] += 1
@@ -281,17 +306,23 @@ def test_work_per_point(kind, monkeypatch):
         lapack[m.shape[-1]] += m.size // m.shape[-1] ** 2
         return eigvalsh(m, *args, **kwargs)
 
+    def counted_svd(m, *args, **kwargs):
+        svds[m.shape[-1]] += m.size // m.shape[-1] ** 2
+        return svd(m, *args, **kwargs)
+
     def counted_evolve(rho, *args, **kwargs):
         evolved.append(rho.shape)
         return evolve(rho, *args, **kwargs)
 
     monkeypatch.setattr(metrics, "hermitian_eigenvalues", counted_solve)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(metrics, "evolve_array", counted_evolve)
     average_over_inputs(kind, 0.6, 0.03, EvolutionConfig(0.25))
     assert solves == {128: 4, 64: 1, 32: 6}
-    assert lapack == {128: 12, 64: 24, 32: 34}
-    assert evolved == [(1, 64, 64), (3, 128, 128), (3, 128, 128)]
+    assert lapack == {128: 12, 32: 48, 16: 10}
+    assert svds == {32: 12, 16: 5}
+    assert evolved == [(1, 64, 64), (1, 128, 128), (3, 128, 128)]
 
 
 @pytest.mark.parametrize("kind", list(EncodingKind))

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -177,17 +178,25 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
         hermitian_eigenvalues(np.array([[0, 1], [0, 0.0]]), [()])
 
 
-def solved(m):
-    """hermitian_eigenvalues(m, [()])[0], and the sizes of the LAPACK solves
-    it made, a stack of matrices being one solve each."""
-    sizes, eigvalsh = [], np.linalg.eigvalsh
+def solved(m, transposed=((),)):
+    """hermitian_eigenvalues(m, transposed), and the sizes of the eigvalsh
+    and of the SVD solves it made, a stack of matrices being one solve each."""
+    sizes = {"eigvalsh": [], "svd": []}
+    originals = {name: getattr(np.linalg, name) for name in sizes}
 
-    def counted(a):
-        sizes.extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
-        return eigvalsh(a)
+    def counted(name):
+        def solve(a, *args, **kwargs):
+            sizes[name].extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
+            return originals[name](a, *args, **kwargs)
+        return solve
 
-    with mock.patch.object(np.linalg, "eigvalsh", counted):
-        return hermitian_eigenvalues(m, [()])[0], sizes
+    with mock.patch.object(np.linalg, "eigvalsh", counted("eigvalsh")), \
+            mock.patch.object(np.linalg, "svd", counted("svd")):
+        return hermitian_eigenvalues(m, transposed), sizes["eigvalsh"], sizes["svd"]
+
+
+def parity_of(d):
+    return np.array([bin(k).count("1") % 2 for k in range(d)], dtype=bool)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -201,9 +210,9 @@ def test_parity_blocks_are_solved_apart(n, seed, exponent):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = (a + a.conj().T) / 2
-    odd = np.array([bin(k).count("1") % 2 for k in range(d)], dtype=bool)
+    odd = parity_of(d)
     h[odd[:, None] != odd] = 0
-    ev, sizes = solved(h)
+    (ev,), sizes, _ = solved(h)
     assert sizes == [int(np.sum(~odd)), int(np.sum(odd))]
     assert np.all(np.diff(ev) >= 0)
     assert np.max(np.abs(ev - np.linalg.eigvalsh(h))) <= 1e-12
@@ -211,9 +220,54 @@ def test_parity_blocks_are_solved_apart(n, seed, exponent):
     j = int(rng.choice(np.flatnonzero(odd)))
     h[i, j] = 10.0 ** -exponent * np.exp(1j * rng.uniform(0, 2 * np.pi))
     h[j, i] = np.conj(h[i, j])
-    ev, sizes = solved(h)
+    (ev,), sizes, _ = solved(h)
     assert sizes == [d]
     assert np.array_equal(ev, np.linalg.eigvalsh(h))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_one_sector_cuts_are_solved_as_quarters(data):
+    """A Hermitian 2^n x 2^n matrix that lies in its even or its odd parity
+    block has each proper cut solved as two diagonal q x q quarters of the
+    partial transpose, q = 2^(n-2), in one stacked call, plus one SVD of a
+    third quarter; () keeps the two halves, and the whole register or a bad
+    qubit set raises as partial_transpose does. Each spectrum is the
+    ascending full solve. One entry in the empty block, however small, and
+    its mirror send every cut back to the halves."""
+    n, sector = data.draw(st.integers(2, 5)), data.draw(st.integers(0, 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    d, q = 2 ** n, 2 ** (n - 2)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = (a + a.conj().T) / 2
+    inside = parity_of(d) == sector
+    h[~(inside[:, None] & inside)] = 0
+    cut = st.lists(st.integers(1, n), unique=True, min_size=1, max_size=n - 1)
+    cuts = data.draw(st.lists(cut.map(tuple), max_size=4))
+    transposed = data.draw(st.permutations(cuts + [()]))
+
+    def assert_full_solves(spectra):
+        for b, ev in zip(transposed, spectra):
+            full = np.linalg.eigvalsh(partial_transpose(h, b) if b else h)
+            assert np.all(np.diff(ev) >= 0)
+            assert np.max(np.abs(ev - full)) <= 1e-12
+
+    spectra, sizes, svds = solved(h, transposed)
+    assert sizes == [s for b in transposed for s in ([q, q] if b else [d // 2] * 2)]
+    assert svds == [q] * len(cuts)
+    assert_full_solves(spectra)
+    for bad in (tuple(range(n, 0, -1)), (2, 1, 2), (n + 1,)):
+        with pytest.raises(ValueError) as expected:
+            partial_transpose(h, bad)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            hermitian_eigenvalues(h, [bad])
+    i, j = rng.choice(np.flatnonzero(~inside), 2)
+    h[i, j] = 10.0 ** -data.draw(st.integers(0, 300)) * (
+        np.exp(1j * rng.uniform(0, 2 * np.pi)) if i != j else 1)
+    h[j, i] = np.conj(h[i, j])
+    spectra, sizes, svds = solved(h, transposed)
+    assert sizes == [d // 2] * (2 * len(transposed)) and svds == []
+    assert_full_solves(spectra)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -228,7 +282,7 @@ def test_cut_spectra_match_full_solves(data):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = (a + a.conj().T) / 2
     if data.draw(st.booleans()):
-        odd = np.array([bin(k).count("1") % 2 for k in range(d)], dtype=bool)
+        odd = parity_of(d)
         h[odd[:, None] != odd] = 0
     sets = st.lists(st.integers(1, n), unique=True, max_size=n - 1).map(tuple)
     transposed = data.draw(st.permutations(data.draw(st.lists(sets)) + [()]))
