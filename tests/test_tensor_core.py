@@ -201,11 +201,11 @@ def parity_of(d):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1), st.integers(0, 300))
-def test_parity_blocks_are_solved_apart(n, seed, exponent):
+def test_parity_commuting_two_block_matrices_take_one_full_solve(n, seed, exponent):
     """A Hermitian 2^n x 2^n matrix with no entry between basis indices of
-    opposite bit parity is solved as its even and odd blocks, whose union,
-    ascending, is the full spectrum; one such entry, however small, and its
-    mirror send it to one full solve."""
+    opposite bit parity, but nonzero in both parity blocks, takes one full
+    solve, as does one with such an entry, however small, and its mirror:
+    only a matrix in one parity block is solved in parts."""
     d = 2 ** n
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -213,7 +213,7 @@ def test_parity_blocks_are_solved_apart(n, seed, exponent):
     odd = parity_of(d)
     h[odd[:, None] != odd] = 0
     (ev,), sizes, _ = solved(h)
-    assert sizes == [int(np.sum(~odd)), int(np.sum(odd))]
+    assert sizes == [d]
     assert np.all(np.diff(ev) >= 0)
     assert np.max(np.abs(ev - np.linalg.eigvalsh(h))) <= 1e-12
     i = int(rng.choice(np.flatnonzero(~odd)))
@@ -231,10 +231,10 @@ def test_one_sector_cuts_are_solved_as_quarters(data):
     """A Hermitian 2^n x 2^n matrix that lies in its even or its odd parity
     block has each proper cut solved as two diagonal q x q quarters of the
     partial transpose, q = 2^(n-2), in one stacked call, plus one SVD of a
-    third quarter; () keeps the two halves, and the whole register or a bad
+    third quarter; () takes one full solve, and the whole register or a bad
     qubit set raises as partial_transpose does. Each spectrum is the
-    ascending full solve. One entry in the empty block, however small, and
-    its mirror send every cut back to the halves."""
+    ascending full solve. One entry in the empty block or between the two
+    blocks, however small, and its mirror send every cut to one full solve."""
     n, sector = data.draw(st.integers(2, 5)), data.draw(st.integers(0, 1))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     d, q = 2 ** n, 2 ** (n - 2)
@@ -253,7 +253,7 @@ def test_one_sector_cuts_are_solved_as_quarters(data):
             assert np.max(np.abs(ev - full)) <= 1e-12
 
     spectra, sizes, svds = solved(h, transposed)
-    assert sizes == [s for b in transposed for s in ([q, q] if b else [d // 2] * 2)]
+    assert sizes == [s for b in transposed for s in ([q, q] if b else [d])]
     assert svds == [q] * len(cuts)
     assert_full_solves(spectra)
     for bad in (tuple(range(n, 0, -1)), (2, 1, 2), (n + 1,)):
@@ -261,12 +261,14 @@ def test_one_sector_cuts_are_solved_as_quarters(data):
             partial_transpose(h, bad)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             hermitian_eigenvalues(h, [bad])
-    i, j = rng.choice(np.flatnonzero(~inside), 2)
+    across = data.draw(st.booleans())
+    i = rng.choice(np.flatnonzero(~inside))
+    j = rng.choice(np.flatnonzero(inside if across else ~inside))
     h[i, j] = 10.0 ** -data.draw(st.integers(0, 300)) * (
         np.exp(1j * rng.uniform(0, 2 * np.pi)) if i != j else 1)
     h[j, i] = np.conj(h[i, j])
     spectra, sizes, svds = solved(h, transposed)
-    assert sizes == [d // 2] * (2 * len(transposed)) and svds == []
+    assert sizes == [d] * len(transposed) and svds == []
     assert_full_solves(spectra)
 
 
