@@ -13,7 +13,8 @@ Consecutive slots are grouped into windows: the gate sites of a window join
 into connected qubit components of at most MAX_COMPONENT_QUBITS qubits.
 Each component's steps compose into one 4^k x 4^k map at component size,
 applied to the state once; the qubits in no component are only dephased,
-by one factor for the whole window.
+by one factor for the whole window. The maps are built by the same two
+operations that act on the state, _apply_local and _dephase_idle.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import I2, SCHEDULE_TIME_ATOL, GateSegment
+from .gates import SCHEDULE_TIME_ATOL, GateSegment
 from .tensor_core import check_sites, num_qubits
 
 _RATE_FACTOR = {"kraus": 1.0, "lindblad": 0.5}
@@ -100,13 +101,6 @@ def slot_unitary(segments: list[GateSegment], dt: float,
     return [(check_sites(seg.sites, n), seg.step_unitary(dt)) for seg in segments]
 
 
-def _dephasing_diagonal(k: int, decay: float) -> np.ndarray:
-    """Diagonal of one k-qubit dephasing step on the flattened (row, col)
-    index: rho[a, b] picks up decay ** hamming(a, b)."""
-    bits = (np.arange(4 ** k)[:, None] >> np.arange(2 * k)[::-1]) & 1
-    return decay ** np.count_nonzero(bits[:, :k] != bits[:, k:], axis=1)
-
-
 def _apply_local(state: np.ndarray, superop: np.ndarray, sites, n: int) -> np.ndarray:
     """Apply a superoperator on the (row, col) indices of the listed sites of
     a batched (B, 2, ..., 2) density tensor; axis 0 is the batch."""
@@ -118,8 +112,9 @@ def _apply_local(state: np.ndarray, superop: np.ndarray, sites, n: int) -> np.nd
 
 
 def _dephase_idle(state: np.ndarray, sites, factor: float, n: int) -> np.ndarray:
-    """Multiply the coherences of each listed qubit by factor, in one pass
-    over the state with a mask over the listed qubits' axes only."""
+    """Multiply the coherences of each listed qubit of a batched (B, 2, ...,
+    2) density tensor by factor, in one pass with a mask over the listed
+    qubits' axes only."""
     mask = np.ones((1,) * (2 * n + 1))
     for q in sites:
         shape = [1] * (2 * n + 1)
@@ -164,29 +159,22 @@ def _windows(slots):
         yield window, components
 
 
-def _component_map(window, sites, step_map) -> np.ndarray:
-    """The map of one qubit component over a window, on its ascending sites:
-    the product of its slot maps. A slot's map is the tensor product of the
-    step maps of its gates on the component, with each other qubit of the
-    component as an idle identity gate."""
+def _component_map(window, sites, step_map, decay: float) -> np.ndarray:
+    """The map of one qubit component over a window, on its ascending sites.
+    It is composed by the engine's own state operations, on a batch of the
+    4^k basis operators |a><b| of the component: each slot applies the step
+    maps of its gates on the component, and dephases the component's other
+    qubits. Image j of the batch is column j of the map."""
     k = len(sites)
-    local = {q: i for i, q in enumerate(sites)}
-    total = np.eye(4 ** k, dtype=complex)
+    local = {q: i + 1 for i, q in enumerate(sites)}
+    images = np.eye(4 ** k, dtype=complex).reshape((-1,) + (2,) * (2 * k))
     for nsteps, factors in window:
         gates = [(s, u) for s, u in factors if set(s) <= set(sites)]
-        busy = {q for s, _ in gates for q in s}
-        gates += [((q,), I2) for q in sites if q not in busy]
-        # each step map's (row, col) axes, out then in, placed by einsum at
-        # their sites' places in the component's (rows, cols) order
-        operands = []
         for s, u in gates:
-            rows = [local[q] for q in s]
-            out = rows + [k + r for r in rows]
-            operands += [step_map(u, nsteps).reshape((2,) * (4 * len(s))),
-                         out + [2 * k + a for a in out]]
-        slot = np.einsum(*operands, list(range(4 * k)))
-        total = slot.reshape(4 ** k, 4 ** k) @ total
-    return total
+            images = _apply_local(images, step_map(u, nsteps), [local[q] for q in s], k)
+        idle = [local[q] for q in sites if not any(q in s for s, _ in gates)]
+        images = _dephase_idle(images, idle, decay ** nsteps, k)
+    return images.reshape(4 ** k, 4 ** k).T
 
 
 def evolve_array(rho: np.ndarray, segments, noise: NoiseModel,
@@ -216,16 +204,18 @@ def evolve_array(rho: np.ndarray, segments, noise: NoiseModel,
     def step_map(u: np.ndarray, nsteps: int) -> np.ndarray:
         key = (nsteps, u.tobytes())
         if key not in step_maps:
-            dephase = _dephasing_diagonal(num_qubits(u), decay)[:, None]
-            step_maps[key] = np.linalg.matrix_power(
-                dephase * np.kron(u, u.conj()), nsteps)
+            k = num_qubits(u)
+            # D (U (x) U*): each column, an operator, dephased on all k qubits
+            images = np.kron(u, u.conj()).T.reshape((-1,) + (2,) * (2 * k))
+            step = _dephase_idle(images, range(1, k + 1), decay, k).reshape(4 ** k, -1)
+            step_maps[key] = np.linalg.matrix_power(step.T, nsteps)
         return step_maps[key]
 
     for window, components in _windows(slots):
         for component in components:
             sites = sorted(component)
-            state = _apply_local(state, _component_map(window, sites, step_map),
-                                 sites, n)
+            state = _apply_local(
+                state, _component_map(window, sites, step_map, decay), sites, n)
         idle = set(range(1, n + 1)).difference(*components)
         if idle and noise.gamma > 0:
             steps = sum(nsteps for nsteps, _ in window)

@@ -188,6 +188,12 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
         n3s.append(sum(cuts))
         sigmas.append(sigma)
         heralded.append(i)
+    # the channel keeps traces: A and B have trace 1 and C trace 0
+    for t, ops in (("t2", ops2), ("t3", ops3)):
+        dev = np.max(np.abs(np.trace(ops, axis1=1, axis2=2) - [1, 1, 0]))
+        if not dev <= protocol.TRACE_ATOL:  # written so that a NaN fails it
+            raise protocol.InvariantError(f"the traces of the images of A, B, C "
+                                          f"at {t} are off (1, 1, 0) by {dev:.3e}")
     if not fids:
         raise PostselectionImpossibleError(
             "heralded outcome impossible for every input state"

@@ -16,10 +16,11 @@ from enum import Enum
 import numpy as np
 
 from . import gates
-from .tensor_core import commutes_with_parity
 
 NUM_QUBITS = 7
 POSTSELECTION_EPS = 1e-12
+# the round-off allowed on a trace the channel keeps, or on a probability's 1
+TRACE_ATOL = 1e-9
 
 MEASUREMENT_PAIRS = ((3, 4), (2, 5), (1, 6))
 
@@ -31,6 +32,10 @@ class EncodingKind(Enum):
 
 class PostselectionImpossibleError(RuntimeError):
     """The heralded outcome has (numerically) zero probability."""
+
+
+class InvariantError(ValueError):
+    """A kept trace or a probability bound is broken by more than TRACE_ATOL."""
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,8 @@ def _check_schedule(parsed: gates.ParsedSchedule) -> None:
     its three channel operators, one per parity block, into one from t1 to
     t2, and relates opposite X and Y inputs at t2 by the parity Z^(x)n."""
     atol = gates.SCHEDULE_TIME_ATOL
+    # the phase pattern k = 2 on every qubit: Z on each site, the parity
+    parity = np.full((1, NUM_QUBITS), 2)
     if not 0 < parsed.t1 < parsed.t2 < parsed.t3:
         raise ValueError("checkpoints must satisfy 0 < t1 < t2 < t3")
     for i, e in enumerate(parsed.entries):
@@ -99,12 +106,12 @@ def _check_schedule(parsed: gates.ParsedSchedule) -> None:
                 f"segment on sites {e.sites} starts at {e.start:g}, before "
                 f"t1 = {parsed.t1:g}, and acts on qubit 1, which must be idle "
                 f"until t1")
-        if e.start < parsed.t2 - atol:
-            if not commutes_with_parity(gates.gate_generator(e.name, 1.0, 1.0)):
-                raise ValueError(
-                    f"segment on sites {e.sites} starts at {e.start:g}, "
-                    f"before t2 = {parsed.t2:g}, and its generator does not "
-                    f"commute with the parity Z on its sites")
+        if e.start < parsed.t2 - atol and not len(commuting_phases(
+                parity, gates.gate_generator(e.name, 1.0, 1.0), e.sites)):
+            raise ValueError(
+                f"segment on sites {e.sites} starts at {e.start:g}, "
+                f"before t2 = {parsed.t2:g}, and its generator does not "
+                f"commute with the parity Z on its sites")
 
 
 def build_schedule(kind: EncodingKind, alpha: float,
@@ -188,6 +195,9 @@ def project_pair(block: np.ndarray, pair: tuple[int, int]) -> tuple[np.ndarray, 
     if not np.isfinite(prob):
         raise ValueError(f"heralded outcome on pair {pair} has a non-finite "
                          f"probability {prob}")
+    if prob > 1 + TRACE_ATOL:
+        raise InvariantError(f"heralded outcome on pair {pair} has probability "
+                             f"{prob!r} above 1")
     if prob < POSTSELECTION_EPS:
         raise PostselectionImpossibleError(
             f"heralded outcome on pair {pair} has probability {prob:.3e}"

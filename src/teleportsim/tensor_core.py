@@ -80,13 +80,6 @@ def parity_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
                           for r, c in ((e, e), (o, o), (e, o), (o, e))])
 
 
-def commutes_with_parity(m: np.ndarray) -> bool:
-    """Whether the 2^n x 2^n matrix m, n >= 1, has no nonzero entry between
-    basis indices of opposite bit parity: whether it commutes exactly with
-    the parity Z^(x)n."""
-    return not np.ravel(m).take(parity_blocks(num_qubits(m))[1][2:]).any()
-
-
 @functools.cache
 def _quarters(n: int, b: tuple[int, ...], s: int) -> np.ndarray:
     """Flat indices into a 2^n x 2^n matrix in parity block s (0 even) of the

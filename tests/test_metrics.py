@@ -415,7 +415,8 @@ def test_evolution_passes_per_point(kind, monkeypatch):
     component of each window and once to dephase the qubits in none: to t1
     one 16 x 16 map per Bell pair; to t2 one 64 x 64 map for the encoder on
     qubits 1..3 and one for the decoder on 4..6, with qubit 7 idle; to t3
-    one map for the measured pair, with the other five qubits idle."""
+    one map for the measured pair, with the other five qubits idle. The
+    component-size passes that compose those maps are not counted."""
     calls = []
     evolve = metrics.evolve_array
     apply_local, dephase_idle = evolution._apply_local, evolution._dephase_idle
@@ -424,12 +425,15 @@ def test_evolution_passes_per_point(kind, monkeypatch):
         calls.append(([], []))
         return evolve(rho, *args, **kwargs)
 
+    # the evolved registers, of 6 and 7 qubits, are wider than any component
     def counted_apply(state, superop, sites, n):
-        calls[-1][0].append(len(superop))
+        if n > evolution.MAX_COMPONENT_QUBITS:
+            calls[-1][0].append(len(superop))
         return apply_local(state, superop, sites, n)
 
     def counted_dephase(state, sites, factor, n):
-        calls[-1][1].append(len(sites))
+        if n > evolution.MAX_COMPONENT_QUBITS:
+            calls[-1][1].append(len(sites))
         return dephase_idle(state, sites, factor, n)
 
     monkeypatch.setattr(metrics, "evolve_array", counted_evolve)
@@ -534,6 +538,19 @@ def test_a_nan_in_a_point_state_gives_an_error_row(monkeypatch):
     row = sweep._compute_row(((EncodingKind.SWAP, 0.5, 0.03), cfg))
     assert row.endswith(",ValueError:heralded outcome on pair (3; 4) has a "
                         "non-finite probability nan")
+
+
+def test_a_scaled_evolution_gives_an_error_row_naming_the_trace_check(monkeypatch):
+    """An engine that lets the trace grow by 1% per call is caught at t2 by
+    the trace check of the channel images, whose error names it, and the
+    sweep writes the point as an error row."""
+    evolve = metrics.evolve_array
+    monkeypatch.setattr(metrics, "evolve_array",
+                        lambda rho, *args: 1.01 * evolve(rho, *args))
+    cfg = sweep.parse_config("dt = 0.25\nprotocols = scrambling\n")
+    row = sweep._compute_row(((EncodingKind.SCRAMBLING, 0.5, 0.03), cfg))
+    assert row.endswith(",InvariantError:the traces of the images of A; B; C "
+                        "at t2 are off (1; 1; 0) by 2.010e-02")
 
 
 def test_scrambling_purity_falls_to_a_minimum_then_rises_in_gamma():

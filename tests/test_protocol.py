@@ -10,10 +10,10 @@ from teleportsim import gates, protocol
 from teleportsim.evolution import EvolutionConfig, NoiseModel
 from teleportsim.gates import ParsedSchedule, ScheduleEntry
 from teleportsim.metrics import run_protocol
-from teleportsim.protocol import (EncodingKind, InputState, MEASUREMENT_PAIRS,
-                                  PAULI_EIGENSTATES,
-                                  PostselectionImpossibleError, build_schedule,
-                                  pair_block, project_pair)
+from teleportsim.protocol import (EncodingKind, InputState, InvariantError,
+                                  MEASUREMENT_PAIRS, PAULI_EIGENSTATES,
+                                  PostselectionImpossibleError, TRACE_ATOL,
+                                  build_schedule, pair_block, project_pair)
 from teleportsim.tensor_core import partial_trace
 
 import dense_reference
@@ -188,6 +188,16 @@ def test_a_nan_heralding_probability_is_an_error():
         with pytest.raises(ValueError, match=r"heralded outcome on pair "
                            r"\(3, 4\) has a non-finite probability nan"):
             project_pair(block, (3, 4))
+
+
+def test_a_heralding_probability_above_one_is_an_error():
+    """A block of trace 1 + 1e-6 is no heralded outcome of a state; one
+    within TRACE_ATOL of 1 is."""
+    block = np.eye(32) / 32
+    assert project_pair(block * (1 + TRACE_ATOL / 2), (3, 4))[1] <= 1 + TRACE_ATOL
+    with pytest.raises(InvariantError, match=r"pair \(3, 4\) has probability "
+                       r"1\.000001\d* above 1"):
+        project_pair(block * (1 + 1e-6), (3, 4))
 
 
 def test_run_protocol_checkpoints_valid_and_deterministic():

@@ -31,6 +31,14 @@ def test_tracer_installs_every_span_and_uninstalls():
     # one call per state, for all its cuts: 4 at t2 (X+, Y+, Z+, Z-), 1 at
     # t1 on qubits 2..7, 6 on the heralded states
     assert tracer.totals()["counts"]["tensor_core.eigvalsh_calls"] == 4 + 1 + 6
+    # three evolutions per point: the Bell pairs, the encode, the rotations
+    assert tracer._evolve_calls == 3
+    # each evolution span records time, so an engine refactor that stops
+    # calling a patched name cannot empty a per-layer metric unnoticed
+    self_s = tracer.totals()["self_s"]
+    for span in ("evolution.evolve.bell", "evolution.evolve.encode",
+                 "evolution.evolve.rotate", "evolution.slot_unitary"):
+        assert self_s.get(span, 0.0) > 0, span
     assert "metrics.total_negativity" in tracer.totals()["self_s"]
     # cut_negativities calls the public log_negativity, so its span records
     assert "metrics.log_negativity" in tracer.totals()["self_s"]
