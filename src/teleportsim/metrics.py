@@ -8,14 +8,14 @@ Pauli-eigenstate inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gates, protocol
+from . import protocol
 from .evolution import EvolutionConfig, NoiseModel, evolve_array
 from .protocol import (EncodingKind, InputState, PAULI_EIGENSTATES,
-                       PostselectionImpossibleError)
+                       PostselectionImpossibleError, ProtocolSchedule)
 # bench/tracer.py patches partial_transpose here, by name
 from .tensor_core import (hermitian_eigenvalues, num_qubits, parity_blocks,
                           partial_trace, partial_transpose)
@@ -70,40 +70,36 @@ def total_negativity(rho: np.ndarray, log_base: float = 2) -> float:
     return sum(cut_negativities(rho, range(1, n + 1), n, log_base))
 
 
-def _evolve_channel(kind: EncodingKind, alpha: float, gamma: float,
-                    cfg: EvolutionConfig | None, rate_convention: str,
-                    measurement_pair: tuple[int, int]
+def _qubit1(noise: NoiseModel, t1: float) -> np.ndarray:
+    """Qubit 1's t1 factors |0><0|, |1><1|, e^{-r t1} |0><1| of A, B, C."""
+    coherence = math.exp(-noise.coherence_rate * t1)
+    return np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, coherence], [0, 0]]])
+
+
+def _evolve_channel(sched: ProtocolSchedule, gamma: float,
+                    cfg: EvolutionConfig | None, rate_convention: str
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The protocol up to the heralding projection is a linear channel on
-    qubit 1's input. Returns its images at t1, t2 and t3 of
-    A = |0><0| (x) sigma, B = |1><1| (x) sigma and
-    C = e^{-r t1} |0><1| (x) sigma, each stacked as (3, 128, 128), with
-    sigma the t1 state of qubits 2..n and r the coherence decay rate; the
-    image of C' is that of C, daggered.
-    """
+    qubit 1's input. Returns sigma, the t1 state of qubits 2..n, and the
+    images at t2 and t3 of A = |0><0| (x) sigma, B = |1><1| (x) sigma and
+    C = e^{-r t1} |0><1| (x) sigma, r the coherence decay rate, each stacked
+    as (3, 128, 128); the image of C' is that of C, daggered."""
     cfg = cfg or EvolutionConfig()
-    sched = protocol.build_schedule(kind, alpha, measurement_pair)
     n = protocol.NUM_QUBITS
-    # qubit 1 is idle until t1: evolve qubits 2..n alone, sites shifted down
-    early = [replace(s, sites=tuple(q - 1 for q in s.sites))
-             for s in sched.segments
-             if s.start_time < sched.t1 - gates.SCHEDULE_TIME_ATOL]
     rest = np.zeros((1, 2 ** (n - 1), 2 ** (n - 1)), dtype=complex)
     rest[0, 0, 0] = 1.0
     noise = NoiseModel(gamma, rate_convention)
-    sigma = evolve_array(rest, early, noise, cfg, 0.0, sched.t1)[0]
-    coherence = math.exp(-noise.coherence_rate * sched.t1)
-    qubit1 = ([[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, coherence], [0, 0]])
-    ops1 = np.stack([np.kron(q1, sigma) for q1 in qubit1])
+    sigma = evolve_array(rest, sched.early, noise, cfg, 0.0, sched.t1)[0]
     # A, B, C lie in the even-even, odd-odd, even-odd blocks (sigma is even),
     # which the channel keeps until t2: their sum is evolved and cut back out
-    packed = evolve_array(ops1.sum(axis=0, keepdims=True), sched.segments,
-                          noise, cfg, sched.t1, sched.t2)[0]
-    ops2 = np.zeros_like(ops1)
+    packed = np.kron(_qubit1(noise, sched.t1).sum(axis=0), sigma)
+    packed = evolve_array(packed[None], sched.segments, noise, cfg,
+                          sched.t1, sched.t2)[0]
+    ops2 = np.zeros((3, 2 ** n, 2 ** n), dtype=complex)
     for image, block in zip(ops2, parity_blocks(n)[1][:3]):
         image.put(block, packed.take(block))
     ops3 = evolve_array(ops2, sched.segments, noise, cfg, sched.t2, sched.t3)
-    return ops1, ops2, ops3
+    return sigma, ops2, ops3
 
 
 def _input_states(ops: np.ndarray, inputs=PAULI_EIGENSTATES) -> np.ndarray:
@@ -127,8 +123,11 @@ def run_protocol(kind: EncodingKind, alpha: float, gamma: float,
     three channel operators; deterministic. Returns the states at t1, t2 and
     t3 (before the heralding projection), each of shape (6, 128, 128) in
     input order."""
-    return tuple(_input_states(ops) for ops in _evolve_channel(
-        kind, alpha, gamma, cfg, rate_convention, measurement_pair))
+    sched = protocol.build_schedule(kind, alpha, measurement_pair)
+    sigma, ops2, ops3 = _evolve_channel(sched, gamma, cfg, rate_convention)
+    ops1 = np.stack([np.kron(q1, sigma) for q1 in
+                     _qubit1(NoiseModel(gamma, rate_convention), sched.t1)])
+    return tuple(_input_states(ops) for ops in (ops1, ops2, ops3))
 
 
 @dataclass
@@ -161,8 +160,8 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
     Inputs whose heralded outcome is impossible are excluded from the
     averages and listed in failed_inputs.
     """
-    ops1, ops2, ops3 = _evolve_channel(kind, alpha, gamma, cfg,
-                                       rate_convention, measurement_pair)
+    sched = protocol.build_schedule(kind, alpha, measurement_pair)
+    sigma1, ops2, ops3 = _evolve_channel(sched, gamma, cfg, rate_convention)
     n = protocol.NUM_QUBITS
     pair = tuple(measurement_pair)
     kept = tuple(q for q in range(1, n + 1) if q not in pair)
@@ -199,11 +198,8 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
             "heralded outcome impossible for every input state"
         )
     # every input's t1 state is its qubit-1 state times sigma1, the same
-    # state of qubits 2..n, whose cuts are the input average; A's top-left
-    # block is sigma1
+    # state of qubits 2..n, whose cuts are the input average
     rest = range(2, n + 1)
-    d = 2 ** (n - 1)
-    sigma1 = ops1[0, :d, :d]
     n1a = sum(cut_negativities(sigma1, rest, n, log_base))
     # Up to t2 the channel commutes with the parity P = Z^(x)n
     # (protocol._check_schedule), so rho2(X-) = P rho2(X+) P and
@@ -211,9 +207,9 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
     # fixes sigma1, V A V^dag = A, V B V^dag = B and V C V^dag = -i C, so
     # rho2(Y+) = V rho2(X+) V^dag. P and V are products of single-qubit
     # unitaries, which keep every cut's negativity.
-    patterns = protocol.phase_symmetries(gates.load_schedule(kind.value))
     # scrambling has no pattern, and so no per-point test
-    fixed = len(patterns) and len(protocol.commuting_phases(patterns, sigma1, rest))
+    fixed = len(sched.phases) and len(
+        protocol.commuting_phases(sched.phases, sigma1, rest))
     # X+, and Y+ unless V ties it to X+, are combined with the weights every
     # input gets, so their bits match run_protocol's; Z+ and Z- are A and B
     xy = PAULI_EIGENSTATES[0:1] if fixed else PAULI_EIGENSTATES[0:3:2]

@@ -67,25 +67,43 @@ PAULI_EIGENSTATES = (
 
 @dataclass(frozen=True)
 class ProtocolSchedule:
-    """Ordered gate segments plus the protocol checkpoints."""
+    """Ordered gate segments plus the protocol checkpoints, the schedule's
+    phase patterns (_check_schedule) and early, the segments that start
+    before t1 with their sites shifted down by one: the schedule of qubits
+    2..n, qubit 1 being idle until t1."""
 
     segments: list[gates.GateSegment]
     t1: float
     t2: float
     t3: float
+    phases: np.ndarray
+    early: list[gates.GateSegment]
 
 
 @functools.lru_cache(maxsize=16)
-def _check_schedule(parsed: gates.ParsedSchedule) -> None:
+def _check_schedule(parsed: gates.ParsedSchedule) -> np.ndarray:
     """Raise ValueError unless 0 < t1 < t2 < t3 and each gate lies in [0, t3]
     on the register, overlaps no gate on a shared qubit, spares qubit 1 if
     it starts before t1, and if before t2 is of a kind that commutes with the
     parity of its sites: metrics evolves qubits 2..n alone until t1, packs
     its three channel operators, one per parity block, into one from t1 to
-    t2, and relates opposite X and Y inputs at t2 by the parity Z^(x)n."""
+    t2, and relates opposite X and Y inputs at t2 by the parity Z^(x)n.
+
+    Returns the schedule's phase patterns: the k with k_1 = 1, read-only
+    rows in lexicographic order, whose V_k commutes exactly with every gate
+    active between t1 and t2. V_k is diagonal, so it commutes with the
+    dephasing too, and a gate's generator at any PARAM is
+    gates.gate_generator(name, 1.0, 1.0) scaled. The gates build_schedule
+    retargets, CNOT and HAD, start at t2 or later, so the measured pair does
+    not matter. If V_k also commutes with the t1 state of qubits 2..n, it
+    maps input X+'s t2 state onto Y+'s (metrics.average_over_inputs)."""
     atol = gates.SCHEDULE_TIME_ATOL
+    n = NUM_QUBITS
     # the phase pattern k = 2 on every qubit: Z on each site, the parity
-    parity = np.full((1, NUM_QUBITS), 2)
+    parity = np.full((1, n), 2)
+    # every pattern, k_1 = 1
+    phases = np.indices((1,) + (4,) * (n - 1)).reshape(n, -1).T
+    phases[:, 0] = 1
     if not 0 < parsed.t1 < parsed.t2 < parsed.t3:
         raise ValueError("checkpoints must satisfy 0 < t1 < t2 < t3")
     for i, e in enumerate(parsed.entries):
@@ -106,12 +124,17 @@ def _check_schedule(parsed: gates.ParsedSchedule) -> None:
                 f"segment on sites {e.sites} starts at {e.start:g}, before "
                 f"t1 = {parsed.t1:g}, and acts on qubit 1, which must be idle "
                 f"until t1")
-        if e.start < parsed.t2 - atol and not len(commuting_phases(
-                parity, gates.gate_generator(e.name, 1.0, 1.0), e.sites)):
-            raise ValueError(
-                f"segment on sites {e.sites} starts at {e.start:g}, "
-                f"before t2 = {parsed.t2:g}, and its generator does not "
-                f"commute with the parity Z on its sites")
+        if e.start < parsed.t2 - atol:
+            m = gates.gate_generator(e.name, 1.0, 1.0)
+            if not len(commuting_phases(parity, m, e.sites)):
+                raise ValueError(
+                    f"segment on sites {e.sites} starts at {e.start:g}, "
+                    f"before t2 = {parsed.t2:g}, and its generator does not "
+                    f"commute with the parity Z on its sites")
+            if e.start + e.duration > parsed.t1 + atol:
+                phases = commuting_phases(phases, m, e.sites)
+    phases.flags.writeable = False
+    return phases
 
 
 def build_schedule(kind: EncodingKind, alpha: float,
@@ -128,13 +151,15 @@ def build_schedule(kind: EncodingKind, alpha: float,
     if pair not in MEASUREMENT_PAIRS:
         raise ValueError(f"measurement pair must be one of {MEASUREMENT_PAIRS}")
     parsed = gates.load_schedule(kind.value)
-    _check_schedule(parsed)
+    phases = _check_schedule(parsed)
     segments = []
     for entry in parsed.entries:
         if entry.name in ("CNOT", "HAD"):
             entry = replace(entry, sites=pair[:len(entry.sites)])
         segments.append(gates.entry_segment(entry, alpha))
-    return ProtocolSchedule(segments, parsed.t1, parsed.t2, parsed.t3)
+    early = [replace(s, sites=tuple(q - 1 for q in s.sites)) for s in segments
+             if s.start_time < parsed.t1 - gates.SCHEDULE_TIME_ATOL]
+    return ProtocolSchedule(segments, parsed.t1, parsed.t2, parsed.t3, phases, early)
 
 
 def commuting_phases(patterns: np.ndarray, m: np.ndarray, sites) -> np.ndarray:
@@ -148,28 +173,6 @@ def commuting_phases(patterns: np.ndarray, m: np.ndarray, sites) -> np.ndarray:
     bits = np.indices((2,) * len(sites)).reshape(len(sites), -1).T
     shift = patterns[:, np.asarray(sites) - 1] @ (bits[rows] - bits[cols]).T
     return patterns[(shift % 4 == 0).all(axis=1)]
-
-
-@functools.lru_cache(maxsize=16)
-def phase_symmetries(parsed: gates.ParsedSchedule) -> np.ndarray:
-    """The patterns k with k_1 = 1, read-only rows in lexicographic order,
-    whose V_k commutes exactly with every gate active between t1 and t2.
-    V_k is diagonal, so it commutes with the dephasing too, and a gate's
-    generator at any PARAM is gates.gate_generator(name, 1.0, 1.0) scaled.
-    The gates build_schedule retargets, CNOT and HAD, start at t2 or later
-    (_check_schedule), so the measured pair does not matter. If V_k also
-    commutes with the t1 state of qubits 2..n, it maps input X+'s t2 state
-    onto Y+'s (metrics.average_over_inputs)."""
-    atol = gates.SCHEDULE_TIME_ATOL
-    n = NUM_QUBITS
-    # every pattern, k_1 = 1
-    ks = np.indices((1,) + (4,) * (n - 1)).reshape(n, -1).T
-    ks[:, 0] = 1
-    for e in parsed.entries:
-        if e.start < parsed.t2 - atol and e.start + e.duration > parsed.t1 + atol:
-            ks = commuting_phases(ks, gates.gate_generator(e.name, 1.0, 1.0), e.sites)
-    ks.flags.writeable = False
-    return ks
 
 
 def pair_block(matrix: np.ndarray, pair: tuple[int, int]) -> np.ndarray:

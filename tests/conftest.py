@@ -1,6 +1,12 @@
 import functools
+import os
 import sys
 from pathlib import Path
+
+# one BLAS thread per process, unless set: a threaded BLAS slows these small
+# solves down on a few cores. numpy reads these when it is first imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import pytest
 

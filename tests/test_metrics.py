@@ -239,11 +239,13 @@ def test_packed_encode_matches_separate_evolution(kind, rate_convention):
     for alpha in (0.0, 0.6, 1.0):
         sched = protocol.build_schedule(kind, alpha)
         for gamma in (0.0, 0.03, 0.5):
-            ops1, ops2, _ = metrics._evolve_channel(kind, alpha, gamma, cfg,
-                                                    rate_convention, (3, 4))
-            apart = evolution.evolve_array(
-                ops1, sched.segments, evolution.NoiseModel(gamma, rate_convention),
-                cfg, sched.t1, sched.t2)
+            sigma, ops2, _ = metrics._evolve_channel(sched, gamma, cfg,
+                                                     rate_convention)
+            noise = evolution.NoiseModel(gamma, rate_convention)
+            ops1 = np.stack([np.kron(q1, sigma)
+                             for q1 in metrics._qubit1(noise, sched.t1)])
+            apart = evolution.evolve_array(ops1, sched.segments, noise, cfg,
+                                           sched.t1, sched.t2)
             assert np.array_equal(ops2, apart)
             for image, block in zip(ops2, blocks):
                 assert not image[~block].any()
@@ -345,11 +347,11 @@ def test_phase_symmetries_of_the_packaged_schedules():
     k_4 = k_5 = k_6: 16 patterns with k_1 = 1. Scrambling's XX gates on
     qubit 1 need k_1 even, so it has none. The Bell pairs' XX gates end at
     t1 and are not part of the test: they commute with no such V."""
-    swap = protocol.phase_symmetries(gates.load_schedule("swap"))
+    swap = protocol.build_schedule(EncodingKind.SWAP, 0.6).phases
     assert [tuple(k) for k in swap] == sorted(
         (1, 1, 1, c, c, c, d) for c in range(4) for d in range(4))
     assert not swap.flags.writeable
-    assert protocol.phase_symmetries(gates.load_schedule("scrambling")).shape == (0, 7)
+    assert protocol.build_schedule(EncodingKind.SCRAMBLING, 0.6).phases.shape == (0, 7)
     xx = gates.gate_generator("XX", 1.0, 1.0)
     assert len(protocol.commuting_phases(swap, xx, (2, 5))) == 0
 
@@ -361,13 +363,12 @@ def test_swap_t2_images_obey_the_phase_symmetry(rate_convention):
     V C V^dag = -i C at t2, bit for bit (products with powers of i are
     exact), so V rho2(X+) V^dag = rho2(Y+) and the two have the same cuts."""
     v = phase_diagonal(SWAP_PHASES)
-    patterns = protocol.phase_symmetries(gates.load_schedule("swap"))
     for alpha, gamma, dt in ((0.6, 0.03, 0.25), (0.13, 0.5, 0.04), (1.0, 0.0, 0.01),
                              (0.0, 0.06, 0.25), (0.37, 0.03, 0.04)):
-        ops1, ops2, _ = metrics._evolve_channel(
-            EncodingKind.SWAP, alpha, gamma, EvolutionConfig(dt), rate_convention, (3, 4))
-        sigma1 = ops1[0, :64, :64]
-        fixed = protocol.commuting_phases(patterns, sigma1, range(2, 8))
+        sched = protocol.build_schedule(EncodingKind.SWAP, alpha)
+        sigma1, ops2, _ = metrics._evolve_channel(
+            sched, gamma, EvolutionConfig(dt), rate_convention)
+        fixed = protocol.commuting_phases(sched.phases, sigma1, range(2, 8))
         assert [tuple(k) for k in fixed] == [SWAP_PHASES]
         assert np.array_equal(v[:64, None] * sigma1 * v[:64].conj(), sigma1)
         images = v[:, None] * ops2 * v.conj()
@@ -383,9 +384,8 @@ def test_a_wrong_phase_pattern_fails_the_t1_check():
     Bell pairs' |11> to i |11>, so it does not fix the t1 state."""
     wrong = (1, 1, 1, 0, 0, 0, 0)
     v = phase_diagonal(wrong)[:64]
-    ops1 = metrics._evolve_channel(EncodingKind.SWAP, 0.6, 0.03, EvolutionConfig(0.25),
-                                   "kraus", (3, 4))[0]
-    sigma1 = ops1[0, :64, :64]
+    sigma1 = metrics._evolve_channel(protocol.build_schedule(EncodingKind.SWAP, 0.6),
+                                     0.03, EvolutionConfig(0.25), "kraus")[0]
     assert len(protocol.commuting_phases(np.array([wrong]), sigma1, range(2, 8))) == 0
     assert not np.array_equal(v[:, None] * sigma1 * v.conj(), sigma1)
 
@@ -398,7 +398,7 @@ def test_y_plus_is_solved_without_a_phase_symmetry(monkeypatch):
     text = (resources.files(gates.__package__) / "schedules" / "swap.sched").read_text()
     with_schedule(monkeypatch, gates.parse_schedule_text(
         text + "GATE XX SITES 1,7 START 6 DUR 1 PARAM pi/2\n"))
-    assert len(protocol.phase_symmetries(gates.load_schedule("swap"))) == 0
+    assert len(protocol.build_schedule(EncodingKind.SWAP, 0.6).phases) == 0
     sizes, solve = [], metrics.hermitian_eigenvalues
     monkeypatch.setattr(metrics, "hermitian_eigenvalues",
                         lambda m, cuts: sizes.append(len(m)) or solve(m, cuts))
@@ -407,6 +407,26 @@ def test_y_plus_is_solved_without_a_phase_symmetry(monkeypatch):
     assert sizes.count(128) == 4
     rho2 = run_protocol(EncodingKind.SWAP, 0.6, 0.03, cfg)[1]
     assert abs(rec.neg_total_t2 - np.mean([total_negativity(r) for r in rho2])) <= 1e-13
+
+
+def test_a_point_reads_its_schedule_once(monkeypatch):
+    """A point reads its schedule once, in build_schedule, and evolves the
+    schedule it was built: the phase patterns it tests come from the parsed
+    schedule gates.load_schedule returned, an injected one included."""
+    reads, load = [], gates.load_schedule
+    monkeypatch.setattr(gates, "load_schedule",
+                        lambda kind: reads.append(kind) or load(kind))
+    for run in (average_over_inputs, run_protocol):
+        reads.clear()
+        run(EncodingKind.SWAP, 0.6, 0.03, EvolutionConfig(0.25))
+        assert reads == ["swap"]
+    text = (resources.files(gates.__package__) / "schedules" / "swap.sched").read_text()
+    parsed = gates.parse_schedule_text(
+        text + "GATE XX SITES 1,7 START 6 DUR 1 PARAM pi/2\n")
+    with_schedule(monkeypatch, parsed)
+    phases = protocol.build_schedule(EncodingKind.SWAP, 0.6).phases
+    assert phases is protocol._check_schedule(parsed)
+    assert phases.shape == (0, 7)
 
 
 @pytest.mark.parametrize("kind", list(EncodingKind))

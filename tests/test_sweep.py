@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 
 from teleportsim import cli, sweep
+from teleportsim.evolution import EvolutionConfig
+from teleportsim.metrics import average_over_inputs
 from teleportsim.protocol import EncodingKind
 from teleportsim.sweep import (ConfigError, SweepConfig, emit_figure_data,
                                grid_points, parse_config, run_sweep)
+
+from conftest import with_schedule
 
 FAST = "dt = 0.05\n"  # coarse step: sweep tests exercise plumbing, not accuracy
 
@@ -375,6 +379,40 @@ def test_cli_reports_failed_rows(tmp_path, monkeypatch, capsys):
                         "gamma_count = 1\n")
     assert cli.main(argv) == 0
     assert "failed" not in capsys.readouterr().err
+
+
+# qubit 1 swapped onto qubit 3, then the rotations on (3, 4), with no Bell
+# pair there
+SKIPS_Z_MINUS = ("GATE PSWAP SITES 1,3 START 2 DUR 4 PARAM 1\n"
+                 "GATE CNOT SITES 3,4 START 10 DUR 1 PARAM 1\n"
+                 "GATE HAD SITES 3 START 11 DUR 1 PARAM 1\n")
+
+
+def test_an_input_that_cannot_herald_is_skipped(tmp_path, monkeypatch, capsys):
+    """Input Z- swapped onto qubit 3 meets qubit 4 in |0>: the CNOT makes
+    |11> and the HAD leaves no |00> amplitude, so without dephasing its
+    outcome is impossible. The averages leave it out (X+-, Y+- herald with
+    probability 1/4 and Z+ with 1/2, a mean of 0.3); the row keeps its
+    metrics and names it, and simulate does not count it as a failed row.
+    Dephasing spoils the swap: at gamma = 0.03 every input heralds."""
+    with_schedule(monkeypatch, SKIPS_Z_MINUS)
+    cfg = EvolutionConfig(0.25)
+    rec = average_over_inputs(EncodingKind.SWAP, 0.5, 0.0, cfg)
+    assert rec.failed_inputs == ["Z-"]
+    assert rec.success_prob_avg == pytest.approx(0.3, abs=1e-12)
+    assert average_over_inputs(EncodingKind.SWAP, 0.5, 0.03, cfg).failed_inputs == []
+    monkeypatch.setenv("SIM_THREADS", "1")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("dt = 0.25\nprotocols = swap\nalpha_min = 0.5\n"
+                        "alpha_count = 1\ngamma_count = 1\n")
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert "failed" not in capsys.readouterr().err
+    row = (tmp_path / "sweep.csv").read_text().splitlines()[-1]
+    assert row.startswith("swap,0.5,0,")
+    assert row.endswith(",skipped_inputs:Z-")
+    fields = row.split(",")
+    assert all(fields[3:13])
+    assert float(fields[12]) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_rows_are_appended_once_each(tmp_path, monkeypatch):
