@@ -83,7 +83,8 @@ def _evolve_channel(sched: ProtocolSchedule, gamma: float,
     qubit 1's input. Returns sigma, the t1 state of qubits 2..n, and the
     images at t2 and t3 of A = |0><0| (x) sigma, B = |1><1| (x) sigma and
     C = e^{-r t1} |0><1| (x) sigma, r the coherence decay rate, each stacked
-    as (3, 128, 128); the image of C' is that of C, daggered."""
+    as (3, 128, 128); the image of C' is that of C, daggered. Raises
+    protocol.InvariantError if an image's trace is not kept."""
     cfg = cfg or EvolutionConfig()
     n = protocol.NUM_QUBITS
     rest = np.zeros((1, 2 ** (n - 1), 2 ** (n - 1)), dtype=complex)
@@ -99,6 +100,12 @@ def _evolve_channel(sched: ProtocolSchedule, gamma: float,
     for image, block in zip(ops2, parity_blocks(n)[1][:3]):
         image.put(block, packed.take(block))
     ops3 = evolve_array(ops2, sched.segments, noise, cfg, sched.t2, sched.t3)
+    # the channel keeps traces: A and B have trace 1 and C trace 0
+    for t, ops in (("t2", ops2), ("t3", ops3)):
+        dev = np.max(np.abs(np.trace(ops, axis1=1, axis2=2) - [1, 1, 0]))
+        if not dev <= protocol.TRACE_ATOL:  # written so that a NaN fails it
+            raise protocol.InvariantError(f"the traces of the images of A, B, C "
+                                          f"at {t} are off (1, 1, 0) by {dev:.3e}")
     return sigma, ops2, ops3
 
 
@@ -165,38 +172,22 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
     n = protocol.NUM_QUBITS
     pair = tuple(measurement_pair)
     kept = tuple(q for q in range(1, n + 1) if q not in pair)
-    fids, purs, negs, probs, n3s, sigmas, heralded = [], [], [], [], [], [], []
-    failed = []
-    # the pair's |00> block of each input's t3 state, cut from the three
-    # images before the inputs are combined
+    # each possible input's index maps to its heralded state, on the kept
+    # qubits, and probability, from the pair's |00> block of its t3 state,
+    # cut from the three images before the inputs are combined
+    heralded, failed = {}, []
     blocks = _input_states(protocol.pair_block(ops3, pair))
     for i, (phi, block) in enumerate(zip(PAULI_EIGENSTATES, blocks)):
         try:
-            # the heralded state, on the kept qubits
-            sigma, prob = protocol.project_pair(block, pair)
+            heralded[i] = protocol.project_pair(block, pair)
         except PostselectionImpossibleError:
             failed.append(phi.label)
-            continue
-        # qubit n, the teleported qubit, is sigma's last
-        fids.append(fidelity(partial_trace(sigma, (len(kept),)), phi))
-        purs.append(purity(sigma))
-        cuts = cut_negativities(sigma, kept, n, log_base)
-        # the cut (1..p2-1 | p2..n), with p2 the pair's second qubit
-        negs.append(cuts[pair[1] - 2])
-        probs.append(prob)
-        n3s.append(sum(cuts))
-        sigmas.append(sigma)
-        heralded.append(i)
-    # the channel keeps traces: A and B have trace 1 and C trace 0
-    for t, ops in (("t2", ops2), ("t3", ops3)):
-        dev = np.max(np.abs(np.trace(ops, axis1=1, axis2=2) - [1, 1, 0]))
-        if not dev <= protocol.TRACE_ATOL:  # written so that a NaN fails it
-            raise protocol.InvariantError(f"the traces of the images of A, B, C "
-                                          f"at {t} are off (1, 1, 0) by {dev:.3e}")
-    if not fids:
+    if not heralded:
         raise PostselectionImpossibleError(
             "heralded outcome impossible for every input state"
         )
+    sigmas, probs = zip(*heralded.values())
+    cuts3 = [cut_negativities(sigma, kept, n, log_base) for sigma in sigmas]
     # every input's t1 state is its qubit-1 state times sigma1, the same
     # state of qubits 2..n, whose cuts are the input average
     rest = range(2, n + 1)
@@ -213,20 +204,24 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
     # X+, and Y+ unless V ties it to X+, are combined with the weights every
     # input gets, so their bits match run_protocol's; Z+ and Z- are A and B
     xy = PAULI_EIGENSTATES[0:1] if fixed else PAULI_EIGENSTATES[0:3:2]
-    n2 = [total_negativity(m, log_base) for m in (*_input_states(ops2, xy), *ops2[:2])]
-    # input i, in the order X+, X-, Y+, Y-, Z+, Z-, takes the t2 cuts n2[takes[i]]
-    y = len(xy) - 1
-    takes = [0, 0, y, y, -2, -1]
-    n2a = float(np.mean([n2[takes[i]] for i in heralded]))
-    n3a = float(np.mean(n3s))
+    *nxy, nzp, nzm = [total_negativity(m, log_base)
+                      for m in (*_input_states(ops2, xy), *ops2[:2])]
+    # the t2 cuts in input order: X+, X-, Y+, Y-, Z+, Z-
+    n2 = [nxy[0], nxy[0], nxy[-1], nxy[-1], nzp, nzm]
+    n2a = float(np.mean([n2[i] for i in heralded]))
+    n3a = float(np.mean([sum(cuts) for cuts in cuts3]))
+    # qubit n, the teleported qubit, is sigma's last
+    fids = [fidelity(partial_trace(sigma, (len(kept),)), PAULI_EIGENSTATES[i])
+            for i, sigma in zip(heralded, sigmas)]
     return MetricsRecord(
         kind=kind,
         alpha=alpha,
         gamma=gamma,
         fidelity_avg=float(np.mean(fids)),
-        purity_avg=float(np.mean(purs)),
+        purity_avg=float(np.mean([purity(sigma) for sigma in sigmas])),
         purity_of_mean=purity(np.mean(sigmas, axis=0)),
-        neg_cut34=float(np.mean(negs)),
+        # the cut (1..p2-1 | p2..n), with p2 the pair's second qubit
+        neg_cut34=float(np.mean([cuts[pair[1] - 2] for cuts in cuts3])),
         neg_total_t1=n1a,
         neg_total_t2=n2a,
         neg_total_t3=n3a,

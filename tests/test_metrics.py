@@ -543,9 +543,9 @@ def test_nan_start_in_a_schedule_is_an_error(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_nan_in_a_point_state_gives_an_error_row(monkeypatch):
-    """A NaN in the evolved state fails the heralding check, which runs
-    before any solver call, and the sweep writes the point as a row whose
-    error column names it, the pair's comma written as ';'."""
+    """A NaN in the evolved state fails the channel's trace check, which
+    runs before the heralding and any solver call, and the sweep writes the
+    point as a row whose error column names it, commas written as ';'."""
     evolve = metrics.evolve_array
 
     def with_nan(rho, *args, **kwargs):
@@ -556,21 +556,30 @@ def test_a_nan_in_a_point_state_gives_an_error_row(monkeypatch):
     monkeypatch.setattr(metrics, "evolve_array", with_nan)
     cfg = sweep.parse_config("dt = 0.25\nprotocols = swap\n")
     row = sweep._compute_row(((EncodingKind.SWAP, 0.5, 0.03), cfg))
-    assert row.endswith(",ValueError:heralded outcome on pair (3; 4) has a "
-                        "non-finite probability nan")
+    assert row.endswith(",InvariantError:the traces of the images of A; B; C "
+                        "at t2 are off (1; 1; 0) by nan")
 
 
 def test_a_scaled_evolution_gives_an_error_row_naming_the_trace_check(monkeypatch):
     """An engine that lets the trace grow by 1% per call is caught at t2 by
-    the trace check of the channel images, whose error names it, and the
-    sweep writes the point as an error row."""
+    the trace check of the channel images, whose error names it, before
+    any solver call; the sweep writes the point as an error row, and
+    run_protocol, which evolves the same channel, raises the same error."""
     evolve = metrics.evolve_array
     monkeypatch.setattr(metrics, "evolve_array",
                         lambda rho, *args: 1.01 * evolve(rho, *args))
+    solve = metrics.hermitian_eigenvalues
+    solves = []
+    monkeypatch.setattr(metrics, "hermitian_eigenvalues",
+                        lambda *args: solves.append(1) or solve(*args))
     cfg = sweep.parse_config("dt = 0.25\nprotocols = scrambling\n")
     row = sweep._compute_row(((EncodingKind.SCRAMBLING, 0.5, 0.03), cfg))
     assert row.endswith(",InvariantError:the traces of the images of A; B; C "
                         "at t2 are off (1; 1; 0) by 2.010e-02")
+    assert solves == []
+    with pytest.raises(protocol.InvariantError,
+                       match=r"A, B, C at t2 are off \(1, 1, 0\) by 2.010e-02$"):
+        run_protocol(EncodingKind.SCRAMBLING, 0.5, 0.03, EvolutionConfig(0.25))
 
 
 def test_scrambling_purity_falls_to_a_minimum_then_rises_in_gamma():
