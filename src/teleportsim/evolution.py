@@ -72,7 +72,9 @@ class EvolutionConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
     def on_grid(self, t: float) -> bool:
-        return abs(t / self.dt - round(t / self.dt)) * self.dt <= SCHEDULE_TIME_ATOL
+        # a quotient that overflows (a tiny dt) is off the grid
+        q = t / self.dt
+        return np.isfinite(q) and abs(q - round(q)) * self.dt <= SCHEDULE_TIME_ATOL
 
     def steps_between(self, t_from: float, t_to: float) -> int:
         for t in (t_from, t_to):

@@ -20,7 +20,7 @@ GRID_MATCH_ATOL = 1e-9
 # the most grid points a sweep takes. Per point a sweep holds about 4,200 B
 # (tracemalloc over 10^5 points, CPython 3.11): the point 120, its resume
 # key 385, its task 64, its pool future 1,888, its row 259 and its
-# figure_panels field dict 1,391. The cap keeps that under 1 GiB, so a
+# emit_figure_data field dict 1,391. The cap keeps that under 1 GiB, so a
 # mistyped count fails here, not in memory.
 MAX_GRID_POINTS = 2 ** 30 // 4_200
 
@@ -142,13 +142,13 @@ def _check_config(cfg: SweepConfig) -> None:
         _check_value(key, getattr(cfg, key), getattr(cfg, key), key)
     if not (0 <= cfg.alpha_min <= cfg.alpha_max <= 1):
         raise ConfigError(
-            f"alpha grid [{cfg.alpha_min}, {cfg.alpha_max}] must lie within "
-            f"[0, 1] (fields alpha_min/alpha_max)"
+            f"alpha grid [{cfg.alpha_min}, {cfg.alpha_max}] must satisfy "
+            f"0 <= alpha_min <= alpha_max <= 1 (fields alpha_min/alpha_max)"
         )
     if not (0 <= cfg.gamma_min <= cfg.gamma_max):
         raise ConfigError(
-            f"gamma grid [{cfg.gamma_min}, {cfg.gamma_max}] must be nonnegative "
-            f"(fields gamma_min/gamma_max)"
+            f"gamma grid [{cfg.gamma_min}, {cfg.gamma_max}] must satisfy "
+            f"0 <= gamma_min <= gamma_max (fields gamma_min/gamma_max)"
         )
     size = len(cfg.protocols) * cfg.alpha_count * cfg.gamma_count
     if size > MAX_GRID_POINTS:
@@ -352,26 +352,24 @@ _FIGURES = {
 FIGURE_IDS = tuple(_FIGURES)
 
 
-def _cut_indices(points, protocol: str, fixed: str, cut: float) -> list[int]:
-    """Indices in the grid points of the protocol's points whose fixed axis
-    ('alpha' or 'gamma') is cut; raises ValueError if there are none."""
-    axis = 1 if fixed == "alpha" else 2
-    hits = [i for i, point in enumerate(points)
-            if point[0].value == protocol
-            and abs(point[axis] - cut) <= GRID_MATCH_ATOL]
-    if not hits:
-        raise ValueError(f"missing grid coverage: protocol={protocol} {fixed}={cut}")
-    return hits
-
-
 def _figure_cuts(points, figure_id: str) -> dict[str, list[list[int]]]:
     """Each protocol's grid indices per cut the figure plots; raises
     ValueError for an unknown figure or a cut the grid points miss."""
     if figure_id not in _FIGURES:
         raise ValueError(f"figure must be one of {FIGURE_IDS}")
     protocols, _, fixed, cuts = _FIGURES[figure_id]
-    return {protocol: [_cut_indices(points, protocol, fixed, cut) for cut in cuts]
-            for protocol in protocols}
+    axis = 1 if fixed == "alpha" else 2
+    indices = {protocol: [] for protocol in protocols}
+    for protocol in protocols:
+        for cut in cuts:
+            hits = [i for i, point in enumerate(points)
+                    if point[0].value == protocol
+                    and abs(point[axis] - cut) <= GRID_MATCH_ATOL]
+            if not hits:
+                raise ValueError(
+                    f"missing grid coverage: protocol={protocol} {fixed}={cut}")
+            indices[protocol].append(hits)
+    return indices
 
 
 def check_figure_coverage(cfg: SweepConfig, figure_id: str) -> None:
@@ -379,11 +377,12 @@ def check_figure_coverage(cfg: SweepConfig, figure_id: str) -> None:
     _figure_cuts(grid_points(cfg), figure_id)
 
 
-def figure_panels(rows: list[str], figure_id: str,
-                  cfg: SweepConfig) -> list[tuple[str, list[str]]]:
-    """(file name, lines) of each panel of one figure, cut from the grid-ordered
-    rows of run_sweep(cfg); an empty field reads nan. Raises ValueError if the
-    grid misses a cut the figure plots or the rows are not one per point."""
+def emit_figure_data(rows: list[str], figure_id: str, out_dir: str,
+                     cfg: SweepConfig) -> list[str]:
+    """Write a plot-ready panel file per protocol and metric of one figure,
+    cut from the grid-ordered rows of run_sweep(cfg); an empty field reads
+    nan. Returns the file paths. Raises ValueError if the grid misses a cut
+    the figure plots or the rows are not one per point."""
     points = grid_points(cfg)
     indices = _figure_cuts(points, figure_id)
     if len(rows) != len(points):
@@ -391,29 +390,18 @@ def figure_panels(rows: list[str], figure_id: str,
     protocols, metrics, fixed, cuts = _FIGURES[figure_id]
     free = "gamma" if fixed == "alpha" else "alpha"
     fields = [dict(zip(COLUMNS, row.split(","))) for row in rows]
-    panels = []
-    for protocol in protocols:
-        # each cut's rows, in free-axis order
-        columns = [[fields[i] for i in hits] for hits in indices[protocol]]
-        suffix = f"_{protocol}" if len(protocols) > 1 else ""
-        for metric in metrics:
-            lines = [f"{free}," + ",".join(f"{metric}@{fixed}={c:.12g}" for c in cuts)]
-            lines += [",".join([point[0][free]] + [p[metric] or "nan" for p in point])
-                      for point in zip(*columns)]
-            panels.append((f"{figure_id}_{metric}{suffix}.csv", lines))
-    return panels
-
-
-def emit_figure_data(rows: list[str], figure_id: str, out_dir: str,
-                     cfg: SweepConfig) -> list[str]:
-    """Write plot-ready panel files for one figure; returns the file paths."""
-    panels = figure_panels(rows, figure_id, cfg)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for name, lines in panels:
-        path = os.path.join(out_dir, name)
-        with open(path, "w") as fh:
-            fh.write("\n".join(_header_lines(cfg)[:6]) + "\n")
-            fh.write("\n".join(lines) + "\n")
-        paths.append(path)
+    for protocol in protocols:
+        # per free-axis value, its row in each cut
+        table = list(zip(*([fields[i] for i in hits] for hits in indices[protocol])))
+        suffix = f"_{protocol}" if len(protocols) > 1 else ""
+        for metric in metrics:
+            lines = _header_lines(cfg)[:6] + [
+                ",".join([free] + [f"{metric}@{fixed}={c:.12g}" for c in cuts])]
+            lines += [",".join([point[0][free]] + [p[metric] or "nan" for p in point])
+                      for point in table]
+            paths.append(os.path.join(out_dir, f"{figure_id}_{metric}{suffix}.csv"))
+            with open(paths[-1], "w") as fh:
+                fh.write("\n".join(lines) + "\n")
     return paths

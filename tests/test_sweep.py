@@ -7,10 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from teleportsim import cli, sweep
+from teleportsim import cli, protocol, sweep
 from teleportsim.evolution import EvolutionConfig
 from teleportsim.metrics import average_over_inputs
-from teleportsim.protocol import EncodingKind
+from teleportsim.protocol import EncodingKind, PostselectionImpossibleError
 from teleportsim.sweep import (ConfigError, SweepConfig, emit_figure_data,
                                grid_points, parse_config, run_sweep)
 
@@ -57,6 +57,16 @@ def test_parse_config_errors_name_the_problem():
         parse_config("log_base = 10\n")
     with pytest.raises(ConfigError, match="dt"):
         parse_config("dt = -0.01\n")
+    # the bounds' order is checked with their range, and the message says so
+    for text, message in [
+            ("gamma_min = -0.01\n", "gamma grid [-0.01, 0.06] must satisfy "
+             "0 <= gamma_min <= gamma_max (fields gamma_min/gamma_max)"),
+            ("gamma_min = 0.05\ngamma_max = 0.01\n", "gamma grid [0.05, 0.01] must "
+             "satisfy 0 <= gamma_min <= gamma_max (fields gamma_min/gamma_max)"),
+            ("alpha_min = 0.8\nalpha_max = 0.2\n", "alpha grid [0.8, 0.2] must satisfy "
+             "0 <= alpha_min <= alpha_max <= 1 (fields alpha_min/alpha_max)")]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
 
 
 def test_each_config_key_is_a_sweep_config_field():
@@ -211,6 +221,15 @@ def test_cli_end_to_end(tmp_path, monkeypatch):
     assert code == 0
     assert (out / "sweep.csv").exists()
     assert (out / "fig7_fidelity_avg_swap.csv").exists()
+    # --resume reuses every row, though the config has no resume key
+    first = (out / "sweep.csv").read_bytes()
+    monkeypatch.setenv("SIM_THREADS", "1")
+    computed = []
+    monkeypatch.setattr(sweep, "_compute_row", computed.append)
+    assert cli.main(["--config", str(cfg_path), "--figure", "fig7",
+                     "--out", str(out), "--resume"]) == 0
+    assert computed == []
+    assert (out / "sweep.csv").read_bytes() == first
 
 
 def test_cli_error_paths(tmp_path, capsys):
@@ -415,6 +434,29 @@ def test_an_input_that_cannot_herald_is_skipped(tmp_path, monkeypatch, capsys):
     assert float(fields[12]) == pytest.approx(0.3, abs=1e-12)
 
 
+def test_no_input_that_heralds_is_an_error_row(tmp_path, monkeypatch, capsys):
+    """With no heralded input there is nothing to average: average_over_inputs
+    raises, and simulate writes that as the row's error and exits 3."""
+    def impossible(block, pair):
+        raise PostselectionImpossibleError(f"heralded outcome on pair {pair} "
+                                           f"has probability 0")
+
+    monkeypatch.setattr(protocol, "project_pair", impossible)
+    message = "heralded outcome impossible for every input state"
+    with pytest.raises(PostselectionImpossibleError, match=f"^{message}$"):
+        average_over_inputs(EncodingKind.SWAP, 0.5, 0.0, EvolutionConfig(0.25))
+    monkeypatch.setenv("SIM_THREADS", "1")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("dt = 0.25\nprotocols = swap\nalpha_count = 1\n"
+                        "gamma_count = 1\n")
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    assert "ERROR rows-failed 1 of 1 rows failed" in capsys.readouterr().err
+    row = (tmp_path / "sweep.csv").read_text().splitlines()[-1]
+    assert row.startswith("swap,0,0,")
+    assert row.endswith(f",PostselectionImpossibleError:{message}")
+    assert not any(row.split(",")[3:13])
+
+
 def test_rows_are_appended_once_each(tmp_path, monkeypatch):
     monkeypatch.setenv("SIM_THREADS", "1")
     real = sweep._write_rows
@@ -439,13 +481,20 @@ def test_rows_are_appended_once_each(tmp_path, monkeypatch):
 
 
 def test_off_grid_dt_is_rejected_before_the_sweep(tmp_path, capsys):
-    with pytest.raises(ConfigError, match=r"dt=0\.3 .* time 2\.0 is off"):
-        parse_config("dt = 0.3\n")
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("dt = 0.3\nalpha_count = 2\ngamma_count = 2\n")
-    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
-    assert "ERROR config-invalid dt=0.3" in capsys.readouterr().err
-    assert not (tmp_path / "sweep.csv").exists()
+    """dt = 1e-320 makes t / dt overflow, which is off the grid too, not an
+    OverflowError."""
+    for dt in ("0.3", "1e-320"):
+        message = (f"dt={dt} does not fit the scrambling schedule: "
+                   f"time 2.0 is off the step grid")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(f"dt = {dt}\n")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"dt = {dt}\nalpha_count = 2\ngamma_count = 2\n")
+        assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert f"ERROR config-invalid {message}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+    with pytest.raises(ValueError, match="time 2.0 is not on the dt=1e-320 step grid"):
+        EvolutionConfig(1e-320).steps_between(0.0, 2.0)
     for dt in (0.01, 0.04, 0.25, 0.5):
         assert parse_config(f"dt = {dt}\n").dt == dt
 
