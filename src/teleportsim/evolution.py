@@ -68,13 +68,13 @@ class EvolutionConfig:
 
     def __post_init__(self):
         # written so that a NaN dt fails it
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
     def on_grid(self, t: float) -> bool:
         # a quotient that overflows (a tiny dt) is off the grid
         q = t / self.dt
-        return np.isfinite(q) and abs(q - round(q)) * self.dt <= SCHEDULE_TIME_ATOL
+        return abs(q) < np.inf and abs(q - round(q)) * self.dt <= SCHEDULE_TIME_ATOL
 
     def steps_between(self, t_from: float, t_to: float) -> int:
         for t in (t_from, t_to):
@@ -83,24 +83,13 @@ class EvolutionConfig:
         return round((t_to - t_from) / self.dt)
 
 
-def _check_disjoint(segments) -> None:
-    seen: set[int] = set()
-    for seg in segments:
-        overlap = seen & set(seg.sites)
-        if overlap:
-            raise ValueError(
-                f"concurrent segments share qubit(s) {sorted(overlap)}"
-            )
-        seen |= set(seg.sites)
-
-
 def slot_unitary(segments: list[GateSegment], dt: float,
                  n: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Local factors of one time slot's step unitary: (sites, exp(-i H dt))
     per segment. The segments must act on disjoint sites of an n-qubit
     register; the slot's step unitary is the tensor product of the factors."""
-    _check_disjoint(segments)
-    return [(check_sites(seg.sites, n), seg.step_unitary(dt)) for seg in segments]
+    check_sites([q for seg in segments for q in seg.sites], n)
+    return [(seg.sites, seg.step_unitary(dt)) for seg in segments]
 
 
 def _apply_local(state: np.ndarray, superop: np.ndarray, sites, n: int) -> np.ndarray:
@@ -123,15 +112,6 @@ def _dephase_idle(state: np.ndarray, sites, factor: float, n: int) -> np.ndarray
         shape[q] = shape[n + q] = 2
         mask = mask * np.array([[1.0, factor], [factor, 1.0]]).reshape(shape)
     return state * mask
-
-
-def _slot_edges(segments, t_from: float, t_to: float) -> list[float]:
-    edges = {t_from, t_to}
-    for seg in segments:
-        for t in (seg.start_time, seg.end_time):
-            if t_from + SCHEDULE_TIME_ATOL < t < t_to - SCHEDULE_TIME_ATOL:
-                edges.add(t)
-    return sorted(edges)
 
 
 def _join(components: list[frozenset], factors) -> list[frozenset]:
@@ -197,10 +177,16 @@ def evolve_array(rho: np.ndarray, segments, noise: NoiseModel,
     n = num_qubits(np.empty(rho.shape[-2:], dtype=bool))
     decay = np.exp(-noise.coherence_rate * cfg.dt)
     state = rho.reshape((-1,) + (2,) * (2 * n))
-    edges = _slot_edges(segments, t_from, t_to)
-    slots = [(cfg.steps_between(a, b),
-              slot_unitary([s for s in segments if s.active_at(a)], cfg.dt, n))
-             for a, b in zip(edges, edges[1:])]
+    total = cfg.steps_between(t_from, t_to)
+
+    def steps_to(t: float) -> int:
+        # whole steps from t_from to t, clamped to the evolved span
+        return min(max(cfg.steps_between(t_from, t), 0), total)
+
+    spans = [(steps_to(s.start_time), steps_to(s.end_time), s) for s in segments]
+    edges = sorted({0, total}.union(*((lo, hi) for lo, hi, _ in spans)))
+    slots = [(b - a, slot_unitary([s for lo, hi, s in spans if lo <= a < hi],
+                                  cfg.dt, n)) for a, b in zip(edges, edges[1:])]
     step_maps: dict[tuple[int, bytes], np.ndarray] = {}
 
     def step_map(u: np.ndarray, nsteps: int) -> np.ndarray:

@@ -104,10 +104,6 @@ class GateSegment:
         w, v = np.linalg.eigh(self.generator)
         return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
-    def active_at(self, t: float) -> bool:
-        return (self.start_time - SCHEDULE_TIME_ATOL <= t
-                < self.end_time - SCHEDULE_TIME_ATOL)
-
 
 _UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 _BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,

@@ -85,7 +85,8 @@ _PARSERS = {
     "alpha_count": (int, _COUNT),
     "gamma_min": (float, [_FINITE]), "gamma_max": (float, [_FINITE]),
     "gamma_count": (int, _COUNT),
-    "dt": (float, [_FINITE, (lambda dt: dt > 0, "dt must be positive")]),
+    "dt": (float, [_FINITE, (lambda dt: dt > 0, "dt must be positive"),
+                   (lambda dt: dt >= 1e-4, "dt must be at least 1e-4")]),
     "log_base": (_log_base, [_FINITE,
                              (lambda base: base == 2 or abs(base - np.e) <= 1e-12,
                               "log_base must be 2 or e")]),

@@ -21,8 +21,9 @@ class NonHermitianError(ValueError):
 def check_sites(sites, n: int) -> tuple[int, ...]:
     """Validate a subset of qubit sites against an n-qubit register."""
     sites = tuple(int(s) for s in sites)
-    if len(set(sites)) != len(sites):
-        raise ValueError(f"qubit sites must be unique, got {sites}")
+    repeated = sorted({s for s in sites if sites.count(s) > 1})
+    if repeated:
+        raise ValueError(f"qubit site(s) {repeated} repeat in {sites}")
     for s in sites:
         if not 1 <= s <= n:
             raise ValueError(f"qubit site {s} out of range 1..{n}")

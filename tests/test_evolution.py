@@ -59,17 +59,20 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: EvolutionConfig(NAN), "dt must be positive, got nan"),
+    (lambda: EvolutionConfig(NAN), "dt must be positive and finite, got nan"),
+    (lambda: EvolutionConfig(float("inf")),
+     "dt must be positive and finite, got inf"),
     (lambda: NoiseModel(NAN), "gamma must be nonnegative, got nan"),
     (lambda: dephasing_kraus(NAN, 0.1), "gamma must be nonnegative, got nan"),
     (lambda: dephasing_kraus(0.1, NAN), "dt must be positive, got nan"),
-], ids=["EvolutionConfig", "NoiseModel", "dephasing_kraus-gamma",
+], ids=["EvolutionConfig", "EvolutionConfig-inf", "NoiseModel", "dephasing_kraus-gamma",
         "dephasing_kraus-dt"])
 def test_nan_settings_are_rejected(make, message):
     """NaN fails every comparison, so the checks are written to fail on it.
     Written as x < 0, a NaN gamma or dt passed: EvolutionConfig(nan) failed
     at the first evolution, NoiseModel(nan) in an eigensolver, and
-    dephasing_kraus returned NaN Kraus operators."""
+    dephasing_kraus returned NaN Kraus operators. An infinite dt used to
+    construct, and the first evolution then found time 0 off its grid."""
     with pytest.raises(ValueError, match=message):
         make()
 
@@ -184,6 +187,22 @@ def test_full_segment_reproduces_gate_action():
                        EvolutionConfig(0.01), 0.0, 1.0)
     expect = oracle.rz(np.pi / 2) @ rho @ oracle.rz(np.pi / 2).conj().T
     assert np.max(np.abs(out - expect)) < 1e-10
+
+
+def test_segment_acts_on_its_own_steps_only():
+    """A segment on [2, 3) acts over [2, 3] and leaves [0, 2] and [3, 4] to
+    pure dephasing, as in the dense stepper, which finds the active segments
+    bin by bin."""
+    seg = GateSegment(gate_generator("XX", 0.9, 1.0), (1, 2), 2.0, 1.0)
+    rho = random_density(np.random.default_rng(16), 2)
+    noise, cfg = NoiseModel(0.3), EvolutionConfig(0.25)
+    for t_from, t_to in ((0.0, 2.0), (2.0, 3.0), (3.0, 4.0), (0.0, 4.0)):
+        out = evolve_array(rho, [seg], noise, cfg, t_from, t_to)
+        slow = dense_reference.evolve_array(rho, [seg], noise, cfg, t_from, t_to)
+        idle = evolve_array(rho, [], noise, cfg, t_from, t_to)
+        assert np.max(np.abs(out - slow)) < 1e-12
+        acts = t_from < 3.0 and t_to > 2.0
+        assert (np.max(np.abs(out - idle)) > 1e-3) == acts
 
 
 def test_evolve_noiseless_preserves_purity():

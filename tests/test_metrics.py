@@ -139,6 +139,23 @@ def test_average_purity_of_mean_is_secondary_column(record):
     assert rec.purity_of_mean < rec.purity_avg - 0.1
 
 
+def test_strong_dephasing_spends_more_entanglement_than_scrambling_makes(record):
+    """The abstract's entanglement budget at alpha = 1 and dt = 0.01: the
+    net ΔE_U + ΔE_M turns negative at gamma_b = 0.02008 for scrambling and
+    0.02717 for SWAP, so scrambling crosses first, and scrambling's ΔE_U
+    itself turns negative at 0.04332 (README). The gammas sit at least
+    0.005 from each crossover; the dt study moved them by 2e-5 at most."""
+    def budget(kind, gamma):
+        rec = record(kind, 1.0, gamma)
+        return rec.delta_E_U + rec.delta_E_M
+
+    assert budget(EncodingKind.SCRAMBLING, 0.015) > 0  # +0.722
+    assert budget(EncodingKind.SCRAMBLING, 0.025) < 0  # -0.653
+    assert budget(EncodingKind.SWAP, 0.025) > 0  # +0.206
+    assert budget(EncodingKind.SWAP, 0.03) < 0  # -0.261
+    assert record(EncodingKind.SCRAMBLING, 1.0, 0.05).delta_E_U < 0  # -0.703
+
+
 def test_fidelity_monotone_in_alpha_noiseless(record):
     for kind in EncodingKind:
         vals = [record(kind, a, 0.0).fidelity_avg
@@ -496,7 +513,7 @@ def test_an_overlap_made_by_retargeting_is_an_error(monkeypatch):
     with_schedule(monkeypatch, "GATE CNOT SITES 3,4 START 10 DUR 1 PARAM 1\n"
                   "GATE RZ SITES 6 START 10 DUR 1 PARAM 1\n")
     average_over_inputs(EncodingKind.SWAP, 0.5, 0.03, cfg)
-    with pytest.raises(ValueError, match=r"share qubit\(s\) \[6\]"):
+    with pytest.raises(ValueError, match=r"qubit site\(s\) \[6\] repeat"):
         average_over_inputs(EncodingKind.SWAP, 0.5, 0.03, cfg,
                             measurement_pair=(1, 6))
 

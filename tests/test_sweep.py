@@ -79,6 +79,7 @@ def test_each_config_key_is_a_sweep_config_field():
     ("rate_convention = other",
      "rate_convention must be kraus or lindblad, got 'other'"),
     ("dt = -0.01", "dt must be positive"),
+    ("dt = 1e-5", "dt must be at least 1e-4"),
     ("alpha_count = 0", "grid counts must be positive (alpha_count/gamma_count)"),
     ("gamma_count = -3", "grid counts must be positive (alpha_count/gamma_count)"),
 ])
@@ -482,10 +483,11 @@ def test_rows_are_appended_once_each(tmp_path, monkeypatch):
 
 def test_off_grid_dt_is_rejected_before_the_sweep(tmp_path, capsys):
     """dt = 1e-320 makes t / dt overflow, which is off the grid too, not an
-    OverflowError."""
-    for dt in ("0.3", "1e-320"):
-        message = (f"dt={dt} does not fit the scrambling schedule: "
-                   f"time 2.0 is off the step grid")
+    OverflowError; the config checks stop it first, at the dt bound."""
+    for dt, message in (
+            ("0.3", "dt=0.3 does not fit the scrambling schedule: "
+                    "time 2.0 is off the step grid"),
+            ("1e-320", "line 1: dt must be at least 1e-4")):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(f"dt = {dt}\n")
         cfg_path = tmp_path / "run.cfg"
@@ -495,7 +497,7 @@ def test_off_grid_dt_is_rejected_before_the_sweep(tmp_path, capsys):
         assert not (tmp_path / "sweep.csv").exists()
     with pytest.raises(ValueError, match="time 2.0 is not on the dt=1e-320 step grid"):
         EvolutionConfig(1e-320).steps_between(0.0, 2.0)
-    for dt in (0.01, 0.04, 0.25, 0.5):
+    for dt in (1e-4, 0.01, 0.04, 0.25, 0.5):
         assert parse_config(f"dt = {dt}\n").dt == dt
 
 
