@@ -41,6 +41,8 @@ def log_negativity(rho: np.ndarray, cuts, log_base: float = 2) -> list[float]:
     """log(1 + 2N) for each subsystem B in cuts, with N the absolute sum of
     the negative eigenvalues of rho^T_B, all from one solver call;
     eigenvalues smaller than 1e-12 in magnitude are treated as zero."""
+    if not (0 < log_base < math.inf and log_base != 1):  # a NaN fails it
+        raise ValueError(f"log_base must be positive, finite and not 1, got {log_base}")
     log = math.log2 if log_base == 2 else lambda x: math.log(x, log_base)
     out = []
     for ev in hermitian_eigenvalues(rho, cuts):
@@ -70,35 +72,34 @@ def total_negativity(rho: np.ndarray, log_base: float = 2) -> float:
     return sum(cut_negativities(rho, range(1, n + 1), n, log_base))
 
 
-def _qubit1(noise: NoiseModel, t1: float) -> np.ndarray:
-    """Qubit 1's t1 factors |0><0|, |1><1|, e^{-r t1} |0><1| of A, B, C."""
-    coherence = math.exp(-noise.coherence_rate * t1)
-    return np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, coherence], [0, 0]]])
+def _parity_cut(packed: np.ndarray) -> np.ndarray:
+    """The images of A, B and C, stacked as (3, d, d), cut out of the packed
+    A + B + C by its even-even, odd-odd and even-odd parity blocks."""
+    ops = np.zeros((3,) + packed.shape, dtype=complex)
+    for image, block in zip(ops, parity_blocks(num_qubits(packed))[1][:3]):
+        image.put(block, packed.take(block))
+    return ops
 
 
 def _evolve_channel(sched: ProtocolSchedule, gamma: float,
                     cfg: EvolutionConfig | None, rate_convention: str
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The protocol up to the heralding projection is a linear channel on
-    qubit 1's input. Returns sigma, the t1 state of qubits 2..n, and the
-    images at t2 and t3 of A = |0><0| (x) sigma, B = |1><1| (x) sigma and
-    C = e^{-r t1} |0><1| (x) sigma, r the coherence decay rate, each stacked
-    as (3, 128, 128); the image of C' is that of C, daggered. Raises
+    qubit 1's input. A = |0><0|, B = |1><1| and C = |0><1| on qubit 1, with
+    qubits 2..n in |0...0>, lie in the even-even, odd-odd and even-odd parity
+    blocks, which the channel keeps until t2, so A + B + C is evolved from 0
+    to t2 as one operator. Returns it at t1, its top-left quadrant sigma1
+    the t1 state of qubits 2..n, and the (3, 128, 128) images of A, B and C
+    at t2 and t3; the image of C' is that of C, daggered. Raises
     protocol.InvariantError if an image's trace is not kept."""
     cfg = cfg or EvolutionConfig()
-    n = protocol.NUM_QUBITS
-    rest = np.zeros((1, 2 ** (n - 1), 2 ** (n - 1)), dtype=complex)
-    rest[0, 0, 0] = 1.0
+    d = 2 ** protocol.NUM_QUBITS
+    packed = np.zeros((1, d, d), dtype=complex)
+    packed[0, [0, d // 2, 0], [0, d // 2, d // 2]] = 1.0
     noise = NoiseModel(gamma, rate_convention)
-    sigma = evolve_array(rest, sched.early, noise, cfg, 0.0, sched.t1)[0]
-    # A, B, C lie in the even-even, odd-odd, even-odd blocks (sigma is even),
-    # which the channel keeps until t2: their sum is evolved and cut back out
-    packed = np.kron(_qubit1(noise, sched.t1).sum(axis=0), sigma)
-    packed = evolve_array(packed[None], sched.segments, noise, cfg,
-                          sched.t1, sched.t2)[0]
-    ops2 = np.zeros((3, 2 ** n, 2 ** n), dtype=complex)
-    for image, block in zip(ops2, parity_blocks(n)[1][:3]):
-        image.put(block, packed.take(block))
+    packed1 = evolve_array(packed, sched.segments, noise, cfg, 0.0, sched.t1)
+    ops2 = _parity_cut(evolve_array(packed1, sched.segments, noise, cfg,
+                                    sched.t1, sched.t2)[0])
     ops3 = evolve_array(ops2, sched.segments, noise, cfg, sched.t2, sched.t3)
     # the channel keeps traces: A and B have trace 1 and C trace 0
     for t, ops in (("t2", ops2), ("t3", ops3)):
@@ -106,7 +107,7 @@ def _evolve_channel(sched: ProtocolSchedule, gamma: float,
         if not dev <= protocol.TRACE_ATOL:  # written so that a NaN fails it
             raise protocol.InvariantError(f"the traces of the images of A, B, C "
                                           f"at {t} are off (1, 1, 0) by {dev:.3e}")
-    return sigma, ops2, ops3
+    return packed1[0], ops2, ops3
 
 
 def _input_states(ops: np.ndarray, inputs=PAULI_EIGENSTATES) -> np.ndarray:
@@ -131,10 +132,8 @@ def run_protocol(kind: EncodingKind, alpha: float, gamma: float,
     t3 (before the heralding projection), each of shape (6, 128, 128) in
     input order."""
     sched = protocol.build_schedule(kind, alpha, measurement_pair)
-    sigma, ops2, ops3 = _evolve_channel(sched, gamma, cfg, rate_convention)
-    ops1 = np.stack([np.kron(q1, sigma) for q1 in
-                     _qubit1(NoiseModel(gamma, rate_convention), sched.t1)])
-    return tuple(_input_states(ops) for ops in (ops1, ops2, ops3))
+    packed1, ops2, ops3 = _evolve_channel(sched, gamma, cfg, rate_convention)
+    return tuple(_input_states(ops) for ops in (_parity_cut(packed1), ops2, ops3))
 
 
 @dataclass
@@ -168,8 +167,9 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
     averages and listed in failed_inputs.
     """
     sched = protocol.build_schedule(kind, alpha, measurement_pair)
-    sigma1, ops2, ops3 = _evolve_channel(sched, gamma, cfg, rate_convention)
+    packed1, ops2, ops3 = _evolve_channel(sched, gamma, cfg, rate_convention)
     n = protocol.NUM_QUBITS
+    sigma1 = packed1[:2 ** (n - 1), :2 ** (n - 1)]
     pair = tuple(measurement_pair)
     kept = tuple(q for q in range(1, n + 1) if q not in pair)
     # each possible input's index maps to its heralded state, on the kept
@@ -188,8 +188,9 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
         )
     sigmas, probs = zip(*heralded.values())
     cuts3 = [cut_negativities(sigma, kept, n, log_base) for sigma in sigmas]
-    # every input's t1 state is its qubit-1 state times sigma1, the same
-    # state of qubits 2..n, whose cuts are the input average
+    # qubit 1 is idle until t1 (protocol._check_schedule), so every input's
+    # t1 state is its qubit-1 state times sigma1, the same state of qubits
+    # 2..n, whose cuts are the input average
     rest = range(2, n + 1)
     n1a = sum(cut_negativities(sigma1, rest, n, log_base))
     # Up to t2 the channel commutes with the parity P = Z^(x)n

@@ -67,17 +67,14 @@ PAULI_EIGENSTATES = (
 
 @dataclass(frozen=True)
 class ProtocolSchedule:
-    """Ordered gate segments plus the protocol checkpoints, the schedule's
-    phase patterns (_check_schedule) and early, the segments that start
-    before t1 with their sites shifted down by one: the schedule of qubits
-    2..n, qubit 1 being idle until t1."""
+    """Ordered gate segments plus the protocol checkpoints and the
+    schedule's phase patterns (_check_schedule)."""
 
     segments: list[gates.GateSegment]
     t1: float
     t2: float
     t3: float
     phases: np.ndarray
-    early: list[gates.GateSegment]
 
 
 @functools.lru_cache(maxsize=16)
@@ -85,9 +82,10 @@ def _check_schedule(parsed: gates.ParsedSchedule) -> np.ndarray:
     """Raise ValueError unless 0 < t1 < t2 < t3 and each gate lies in [0, t3]
     on the register, overlaps no gate on a shared qubit, spares qubit 1 if
     it starts before t1, and if before t2 is of a kind that commutes with the
-    parity of its sites: metrics evolves qubits 2..n alone until t1, packs
-    its three channel operators, one per parity block, into one from t1 to
-    t2, and relates opposite X and Y inputs at t2 by the parity Z^(x)n.
+    parity of its sites: metrics packs its three channel operators, one per
+    parity block, into one from 0 to t2, takes every input's t1 cuts from
+    A's t1 image, |0><0| (x) sigma1 while qubit 1 is idle, and relates
+    opposite X and Y inputs at t2 by the parity Z^(x)n.
 
     Returns the schedule's phase patterns: the k with k_1 = 1, read-only
     rows in lexicographic order, whose V_k commutes exactly with every gate
@@ -157,9 +155,7 @@ def build_schedule(kind: EncodingKind, alpha: float,
         if entry.name in ("CNOT", "HAD"):
             entry = replace(entry, sites=pair[:len(entry.sites)])
         segments.append(gates.entry_segment(entry, alpha))
-    early = [replace(s, sites=tuple(q - 1 for q in s.sites)) for s in segments
-             if s.start_time < parsed.t1 - gates.SCHEDULE_TIME_ATOL]
-    return ProtocolSchedule(segments, parsed.t1, parsed.t2, parsed.t3, phases, early)
+    return ProtocolSchedule(segments, parsed.t1, parsed.t2, parsed.t3, phases)
 
 
 def commuting_phases(patterns: np.ndarray, m: np.ndarray, sites) -> np.ndarray:

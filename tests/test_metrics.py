@@ -77,6 +77,22 @@ def test_a_nan_state_has_no_negativity(entries):
         log_negativity(rho, [(2,)])[0]
 
 
+@pytest.mark.parametrize("log_base", [math.nan, math.inf, 1.0, 0.0, -2.0])
+def test_a_bad_log_base_is_an_error(log_base):
+    """A base that is not positive, finite and other than 1 is rejected where
+    it is read; it used to give NaN or 0.0 negativities, or a
+    ZeroDivisionError or a math domain error."""
+    match = f"log_base must be positive, finite and not 1, got {log_base}"
+    with pytest.raises(ValueError, match=match):
+        log_negativity(BELL_RHO, [(2,)], log_base)
+
+
+def test_a_bad_log_base_fails_a_point():
+    with pytest.raises(ValueError, match="log_base must be .* got nan"):
+        average_over_inputs(EncodingKind.SWAP, 0.5, 0.03, EvolutionConfig(0.25),
+                            log_base=math.nan)
+
+
 def test_total_negativity_product_state_is_zero():
     v = np.zeros(128, dtype=complex)
     v[0] = 1
@@ -220,6 +236,23 @@ def test_t1_negativity_once_per_point_is_the_input_mean(kind, rate_convention):
             assert abs(rec.neg_total_t1 - mean) < 1e-12
 
 
+@pytest.mark.parametrize("rate_convention", ["kraus", "lindblad"])
+def test_the_t1_stage_depends_on_gamma_alone(rate_convention):
+    """Both packaged schedules have the same gates before t1, so the packed
+    t1 operator is bit for bit one array over both protocols, alpha and the
+    measurement pair, and neg_total_t1 is one value."""
+    cfg = EvolutionConfig(0.25)
+    for gamma in (0.03, 0.5):
+        packed1 = [metrics._evolve_channel(protocol.build_schedule(kind, alpha, pair),
+                                           gamma, cfg, rate_convention)[0]
+                   for kind in EncodingKind for alpha in (0.0, 0.6, 1.0)
+                   for pair in MEASUREMENT_PAIRS]
+        assert all(np.array_equal(p, packed1[0]) for p in packed1[1:])
+        n1 = {average_over_inputs(kind, alpha, gamma, cfg, rate_convention).neg_total_t1
+              for kind in EncodingKind for alpha in (0.0, 0.6, 1.0)}
+        assert len(n1) == 1
+
+
 @pytest.mark.parametrize("kind", list(EncodingKind))
 def test_average_over_inputs_reduces_run_protocol(kind):
     """The averages come from run_protocol's batches: the success
@@ -246,26 +279,39 @@ def test_average_over_inputs_reduces_run_protocol(kind):
 @pytest.mark.parametrize("kind", list(EncodingKind))
 @pytest.mark.parametrize("rate_convention", ["kraus", "lindblad"])
 def test_packed_encode_matches_separate_evolution(kind, rate_convention):
-    """The channel evolves A + B + C from t1 to t2 as one operator and cuts
+    """The channel evolves A + B + C from 0 to t2 as one operator and cuts
     the images back out of its even-even, odd-odd and even-odd parity
-    blocks: bit for bit the images of A, B and C evolved apart, and each
-    exactly zero outside its block."""
+    blocks: at t2 bit for bit the t1 images of A, B and C evolved apart, and
+    each exactly zero outside its block. At t1, qubit 1 being idle, B's
+    quadrant is A's, the odd-even quadrant is zero, and C's quadrant is A's
+    times qubit 1's coherence factor decay ** steps, bit for bit, which is
+    e^{-r t1} to the rounding of the step count's powers."""
     odd = np.array([bin(k).count("1") % 2 for k in range(128)], dtype=bool)
     blocks = [(~odd[:, None]) & ~odd, odd[:, None] & odd, (~odd[:, None]) & odd]
-    cfg = EvolutionConfig(0.25)
     for alpha in (0.0, 0.6, 1.0):
         sched = protocol.build_schedule(kind, alpha)
-        for gamma in (0.0, 0.03, 0.5):
-            sigma, ops2, _ = metrics._evolve_channel(sched, gamma, cfg,
-                                                     rate_convention)
+        for gamma, dt in ((0.0, 0.25), (0.03, 0.25), (0.5, 0.25), (0.5, 0.04),
+                          (0.0, 0.01)):
+            cfg = EvolutionConfig(dt)
+            packed1, ops2, _ = metrics._evolve_channel(sched, gamma, cfg,
+                                                       rate_convention)
             noise = evolution.NoiseModel(gamma, rate_convention)
-            ops1 = np.stack([np.kron(q1, sigma)
-                             for q1 in metrics._qubit1(noise, sched.t1)])
-            apart = evolution.evolve_array(ops1, sched.segments, noise, cfg,
+            apart = evolution.evolve_array(metrics._parity_cut(packed1),
+                                           sched.segments, noise, cfg,
                                            sched.t1, sched.t2)
             assert np.array_equal(ops2, apart)
             for image, block in zip(ops2, blocks):
                 assert not image[~block].any()
+            a, c = packed1[:64, :64], packed1[:64, 64:]
+            assert np.array_equal(packed1[64:, 64:], a)
+            assert not packed1[64:, :64].any()
+            steps = cfg.steps_between(0, sched.t1)
+            factor = np.exp(-noise.coherence_rate * dt) ** steps
+            assert np.array_equal(c, factor * a)
+            # the step factor's rounding, half an ulp, is raised to the
+            # power steps; pow and exp add an ulp each
+            exact = math.exp(-noise.coherence_rate * sched.t1)
+            assert abs(factor - exact) <= (steps + 2) * np.finfo(float).eps * exact
 
 
 @pytest.mark.parametrize("kind", list(EncodingKind))
@@ -301,8 +347,8 @@ def test_t2_states_obey_the_parity_relations(kind, rate_convention):
 
 @pytest.mark.parametrize("kind", list(EncodingKind))
 def test_work_per_point(kind, monkeypatch):
-    """One point makes three evolve_array calls (qubits 2..7 to t1, the
-    three channel operators packed into one to t2, then the three to t3) and
+    """One point makes three evolve_array calls (the three channel operators
+    packed into one to t1 and on to t2, then the three apart to t3) and
     one solver call per state for all its cuts: at 128 x 128 X+, Y+, Z+ and
     Z- at t2, 6 cuts each, where SWAP's Y+ takes X+'s cuts by its phase
     symmetry; 1 at 64 x 64 (the t1 state of qubits 2..7, 5 cuts) and 6 at
@@ -343,7 +389,7 @@ def test_work_per_point(kind, monkeypatch):
     assert solves == {128: t2_states, 64: 1, 32: 6}
     assert lapack == {128: 6 * (t2_states - 2), 32: 48, 16: 10}
     assert svds == {32: 12, 16: 5}
-    assert evolved == [(1, 64, 64), (1, 128, 128), (3, 128, 128)]
+    assert evolved == [(1, 128, 128), (1, 128, 128), (3, 128, 128)]
 
 
 # V_k of SWAP's encoder: S on qubits 1..3 and 7, S^dag on 4..6
@@ -383,8 +429,9 @@ def test_swap_t2_images_obey_the_phase_symmetry(rate_convention):
     for alpha, gamma, dt in ((0.6, 0.03, 0.25), (0.13, 0.5, 0.04), (1.0, 0.0, 0.01),
                              (0.0, 0.06, 0.25), (0.37, 0.03, 0.04)):
         sched = protocol.build_schedule(EncodingKind.SWAP, alpha)
-        sigma1, ops2, _ = metrics._evolve_channel(
+        packed1, ops2, _ = metrics._evolve_channel(
             sched, gamma, EvolutionConfig(dt), rate_convention)
+        sigma1 = packed1[:64, :64]
         fixed = protocol.commuting_phases(sched.phases, sigma1, range(2, 8))
         assert [tuple(k) for k in fixed] == [SWAP_PHASES]
         assert np.array_equal(v[:64, None] * sigma1 * v[:64].conj(), sigma1)
@@ -402,7 +449,7 @@ def test_a_wrong_phase_pattern_fails_the_t1_check():
     wrong = (1, 1, 1, 0, 0, 0, 0)
     v = phase_diagonal(wrong)[:64]
     sigma1 = metrics._evolve_channel(protocol.build_schedule(EncodingKind.SWAP, 0.6),
-                                     0.03, EvolutionConfig(0.25), "kraus")[0]
+                                     0.03, EvolutionConfig(0.25), "kraus")[0][:64, :64]
     assert len(protocol.commuting_phases(np.array([wrong]), sigma1, range(2, 8))) == 0
     assert not np.array_equal(v[:, None] * sigma1 * v.conj(), sigma1)
 
@@ -450,7 +497,8 @@ def test_a_point_reads_its_schedule_once(monkeypatch):
 def test_evolution_passes_per_point(kind, monkeypatch):
     """Each evolve_array call passes over the full state once per qubit
     component of each window and once to dephase the qubits in none: to t1
-    one 16 x 16 map per Bell pair; to t2 one 64 x 64 map for the encoder on
+    one 16 x 16 map per Bell pair, with qubit 1 idle; to t2 one 64 x 64 map
+    for the encoder on
     qubits 1..3 and one for the decoder on 4..6, with qubit 7 idle; to t3
     one map for the measured pair, with the other five qubits idle. The
     component-size passes that compose those maps are not counted."""
@@ -462,7 +510,7 @@ def test_evolution_passes_per_point(kind, monkeypatch):
         calls.append(([], []))
         return evolve(rho, *args, **kwargs)
 
-    # the evolved registers, of 6 and 7 qubits, are wider than any component
+    # the evolved register, of 7 qubits, is wider than any component
     def counted_apply(state, superop, sites, n):
         if n > evolution.MAX_COMPONENT_QUBITS:
             calls[-1][0].append(len(superop))
@@ -478,7 +526,7 @@ def test_evolution_passes_per_point(kind, monkeypatch):
     monkeypatch.setattr(evolution, "_dephase_idle", counted_dephase)
     average_over_inputs(kind, 0.6, 0.03, EvolutionConfig(0.25))
     assert [(sorted(maps), idle) for maps, idle in calls] == [
-        ([16, 16, 16], []), ([64, 64], [1]), ([16], [5])]
+        ([16, 16, 16], [1]), ([64, 64], [1]), ([16], [5])]
 
 
 @pytest.mark.parametrize("gate, allowed, rejected, match, param, alpha", [
