@@ -14,7 +14,7 @@ import numpy as np
 
 from . import protocol
 from .evolution import EvolutionConfig, NoiseModel, evolve_array
-from .protocol import (EncodingKind, InputState, PAULI_EIGENSTATES,
+from .protocol import (EncodingKind, PAULI_EIGENSTATES, PAULI_LABELS,
                        PostselectionImpossibleError, ProtocolSchedule)
 # bench/tracer.py patches partial_transpose here, by name
 from .tensor_core import (hermitian_eigenvalues, num_qubits, parity_blocks,
@@ -23,11 +23,14 @@ from .tensor_core import (hermitian_eigenvalues, num_qubits, parity_blocks,
 NEGATIVITY_EIGENVALUE_CUTOFF = 1e-12
 
 
-def fidelity(rho7: np.ndarray, phi: InputState) -> float:
-    """Overlap <phi| rho7 |phi> of the teleported qubit with the input."""
+def fidelity(rho7: np.ndarray, v: np.ndarray) -> float:
+    """Overlap <v| rho7 |v> of the teleported qubit with the input vector v."""
+    v = np.asarray(v)
     if num_qubits(rho7) != 1:
         raise ValueError("fidelity expects a single-qubit state")
-    v = phi.vector
+    # written so that a NaN fails it
+    if not (v.shape == (2,) and abs(np.linalg.norm(v) - 1.0) <= 1e-12):
+        raise ValueError(f"fidelity expects a normalized single-qubit input, got {v}")
     return float(np.real(v.conj() @ rho7 @ v))
 
 
@@ -114,8 +117,7 @@ def _input_states(ops: np.ndarray, inputs=PAULI_EIGENSTATES) -> np.ndarray:
     """The (k, d, d) states of the k inputs from the channel's (3, d, d)
     images of A, B, C, or from the same block of each: input a|0> + b|1>
     gives |a|^2 A + |b|^2 B + a b* C + a* b C'."""
-    v = np.array([phi.vector for phi in inputs])
-    a, b = v[:, 0], v[:, 1]
+    a, b = inputs[:, 0], inputs[:, 1]
     weights = np.stack([abs(a) ** 2, abs(b) ** 2, a * b.conj(), a.conj() * b],
                        axis=1)
     images = np.concatenate([ops, ops[2:].conj().swapaxes(-1, -2)])
@@ -177,11 +179,11 @@ def average_over_inputs(kind: EncodingKind, alpha: float, gamma: float,
     # cut from the three images before the inputs are combined
     heralded, failed = {}, []
     blocks = _input_states(protocol.pair_block(ops3, pair))
-    for i, (phi, block) in enumerate(zip(PAULI_EIGENSTATES, blocks)):
+    for i, block in enumerate(blocks):
         try:
             heralded[i] = protocol.project_pair(block, pair)
         except PostselectionImpossibleError:
-            failed.append(phi.label)
+            failed.append(PAULI_LABELS[i])
     if not heralded:
         raise PostselectionImpossibleError(
             "heralded outcome impossible for every input state"

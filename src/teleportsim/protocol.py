@@ -38,31 +38,12 @@ class InvariantError(ValueError):
     """A kept trace or a probability bound is broken by more than TRACE_ATOL."""
 
 
-@dataclass(frozen=True)
-class InputState:
-    """A labeled single-qubit pure state to teleport."""
-
-    label: str
-    vector: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=complex)
-        if v.shape != (2,):
-            raise ValueError("input state must be a single-qubit vector")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise ValueError(f"input state {self.label!r} is not normalized")
-        object.__setattr__(self, "vector", v)
-
-
+# the six inputs to teleport, one row each, in the order of their labels
+PAULI_LABELS = ("X+", "X-", "Y+", "Y-", "Z+", "Z-")
 _SQ = 1 / np.sqrt(2)
-PAULI_EIGENSTATES = (
-    InputState("X+", np.array([_SQ, _SQ])),
-    InputState("X-", np.array([_SQ, -_SQ])),
-    InputState("Y+", np.array([_SQ, 1j * _SQ])),
-    InputState("Y-", np.array([_SQ, -1j * _SQ])),
-    InputState("Z+", np.array([1.0, 0.0])),
-    InputState("Z-", np.array([0.0, 1.0])),
-)
+PAULI_EIGENSTATES = np.array([[_SQ, _SQ], [_SQ, -_SQ], [_SQ, 1j * _SQ],
+                              [_SQ, -1j * _SQ], [1, 0], [0, 1]], dtype=complex)
+PAULI_EIGENSTATES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -79,13 +60,13 @@ class ProtocolSchedule:
 
 @functools.lru_cache(maxsize=16)
 def _check_schedule(parsed: gates.ParsedSchedule) -> np.ndarray:
-    """Raise ValueError unless 0 < t1 < t2 < t3 and each gate lies in [0, t3]
-    on the register, overlaps no gate on a shared qubit, spares qubit 1 if
-    it starts before t1, and if before t2 is of a kind that commutes with the
-    parity of its sites: metrics packs its three channel operators, one per
-    parity block, into one from 0 to t2, takes every input's t1 cuts from
-    A's t1 image, |0><0| (x) sigma1 while qubit 1 is idle, and relates
-    opposite X and Y inputs at t2 by the parity Z^(x)n.
+    """Raise gates.ScheduleError unless 0 < t1 < t2 < t3 and each gate lies
+    in [0, t3] on the register, overlaps no gate on a shared qubit, spares
+    qubit 1 if it starts before t1, and if before t2 is of a kind that
+    commutes with the parity of its sites: metrics packs its three channel
+    operators, one per parity block, into one from 0 to t2, takes every
+    input's t1 cuts from A's t1 image, |0><0| (x) sigma1 while qubit 1 is
+    idle, and relates opposite X and Y inputs at t2 by the parity Z^(x)n.
 
     Returns the schedule's phase patterns: the k with k_1 = 1, read-only
     rows in lexicographic order, whose V_k commutes exactly with every gate
@@ -103,7 +84,7 @@ def _check_schedule(parsed: gates.ParsedSchedule) -> np.ndarray:
     phases = np.indices((1,) + (4,) * (n - 1)).reshape(n, -1).T
     phases[:, 0] = 1
     if not 0 < parsed.t1 < parsed.t2 < parsed.t3:
-        raise ValueError("checkpoints must satisfy 0 < t1 < t2 < t3")
+        raise gates.ScheduleError("checkpoints must satisfy 0 < t1 < t2 < t3")
     for i, e in enumerate(parsed.entries):
         if max(e.sites) > NUM_QUBITS:
             raise gates.ScheduleError(
@@ -111,21 +92,22 @@ def _check_schedule(parsed: gates.ParsedSchedule) -> np.ndarray:
                 f"{max(e.sites)}, outside the {NUM_QUBITS}-qubit register")
         # written so that a NaN time fails it
         if not (-atol <= e.start and e.start + e.duration <= parsed.t3 + atol):
-            raise ValueError(f"segment on sites {e.sites} lies outside [0, t3]")
+            raise gates.ScheduleError(
+                f"segment on sites {e.sites} lies outside [0, t3]")
         for b in parsed.entries[i + 1:]:
             if (set(e.sites) & set(b.sites) and b.start < e.start + e.duration - atol
                     and e.start < b.start + b.duration - atol):
-                raise ValueError(f"segments on sites {e.sites} and {b.sites} "
-                                 f"overlap in time")
+                raise gates.ScheduleError(f"segments on sites {e.sites} and "
+                                          f"{b.sites} overlap in time")
         if e.start < parsed.t1 - atol and 1 in e.sites:
-            raise ValueError(
+            raise gates.ScheduleError(
                 f"segment on sites {e.sites} starts at {e.start:g}, before "
                 f"t1 = {parsed.t1:g}, and acts on qubit 1, which must be idle "
                 f"until t1")
         if e.start < parsed.t2 - atol:
             m = gates.gate_generator(e.name, 1.0, 1.0)
             if not len(commuting_phases(parity, m, e.sites)):
-                raise ValueError(
+                raise gates.ScheduleError(
                     f"segment on sites {e.sites} starts at {e.start:g}, "
                     f"before t2 = {parsed.t2:g}, and its generator does not "
                     f"commute with the parity Z on its sites")
@@ -184,7 +166,12 @@ def pair_block(matrix: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
 def project_pair(block: np.ndarray, pair: tuple[int, int]) -> tuple[np.ndarray, float]:
     """Project a state onto |00> of the pair, given its pair_block. Returns
     the heralded state, the renormalized block: the state of the other
-    qubits, in ascending order; and the outcome's probability."""
+    qubits, in ascending order; and the outcome's probability.
+
+    The block's trace and each of its eigenvalues are probabilities: one
+    above 1 + TRACE_ATOL or below -TRACE_ATOL raises InvariantError, and a
+    trace of round-off size, below POSTSELECTION_EPS, means the outcome is
+    impossible."""
     d = 2 ** (NUM_QUBITS - 2)
     if block.shape != (d, d):
         raise ValueError(f"expected the pair's {d} x {d} block, got shape "
@@ -197,8 +184,15 @@ def project_pair(block: np.ndarray, pair: tuple[int, int]) -> tuple[np.ndarray, 
     if prob > 1 + TRACE_ATOL:
         raise InvariantError(f"heralded outcome on pair {pair} has probability "
                              f"{prob!r} above 1")
+    if prob < -TRACE_ATOL:
+        raise InvariantError(f"heralded outcome on pair {pair} has probability "
+                             f"{prob!r} below 0")
     if prob < POSTSELECTION_EPS:
         raise PostselectionImpossibleError(
             f"heralded outcome on pair {pair} has probability {prob:.3e}"
         )
+    least = float(np.linalg.eigvalsh(block)[0])
+    if least < -TRACE_ATOL:
+        raise InvariantError(f"heralded block on pair {pair} is not PSD: its "
+                             f"smallest eigenvalue is {least!r}")
     return block / prob, prob

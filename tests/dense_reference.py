@@ -20,7 +20,7 @@ from scipy.linalg import expm
 
 from teleportsim.evolution import EvolutionConfig, NoiseModel
 from teleportsim.gates import ParsedSchedule, entry_segment, load_schedule
-from teleportsim.protocol import NUM_QUBITS, InputState
+from teleportsim.protocol import NUM_QUBITS
 from teleportsim.tensor_core import (check_sites, hermitian_eigenvalues,
                                      num_qubits)
 
@@ -107,11 +107,11 @@ def scrambling_unitary(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return u, u.conj()
 
 
-def initial_state(phi: InputState) -> np.ndarray:
-    """rho(0) = |phi><phi| on qubit 1, all other qubits in |0>."""
+def initial_state(v: np.ndarray) -> np.ndarray:
+    """rho(0) = |v><v| on qubit 1, all other qubits in |0>."""
     rest = np.zeros(2 ** (NUM_QUBITS - 1), dtype=complex)
     rest[0] = 1.0
-    psi = np.kron(phi.vector, rest)
+    psi = np.kron(v, rest)
     return np.outer(psi, psi.conj())
 
 

@@ -171,7 +171,7 @@ def test_criterion_10_property_suite():
     equiv = True
     for kind in EncodingKind:
         rho3 = run_protocol(kind, 0.7, 0.0, EvolutionConfig(0.01))[2][2]
-        ref = oracle.run(kind.value, 0.7, PAULI_EIGENSTATES[2].vector)
+        ref = oracle.run(kind.value, 0.7, PAULI_EIGENSTATES[2])
         dist = np.linalg.norm(rho3
                               - np.outer(ref["t3"], ref["t3"].conj()))
         equiv &= dist <= 1e-6

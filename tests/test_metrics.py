@@ -26,17 +26,22 @@ CFG = EvolutionConfig(0.01)
 
 
 def test_fidelity_endpoints():
-    phi = PAULI_EIGENSTATES[0]  # X+
-    perp = PAULI_EIGENSTATES[1]  # X-
-    v, w = phi.vector, perp.vector
-    assert fidelity(np.outer(v, v.conj()), phi) == pytest.approx(1)
-    assert fidelity(np.outer(w, w.conj()), phi) == pytest.approx(0)
-    assert fidelity(np.eye(2) / 2, phi) == pytest.approx(0.5)
+    v, w = PAULI_EIGENSTATES[:2]  # X+, X-
+    assert fidelity(np.outer(v, v.conj()), v) == pytest.approx(1)
+    assert fidelity(np.outer(w, w.conj()), v) == pytest.approx(0)
+    assert fidelity(np.eye(2) / 2, v) == pytest.approx(0.5)
 
 
 def test_fidelity_rejects_multiqubit():
     with pytest.raises(ValueError):
         fidelity(np.eye(4) / 4, PAULI_EIGENSTATES[0])
+
+
+def test_fidelity_rejects_an_unnormalized_input():
+    """The input is a normalized single-qubit vector; a NaN fails the check."""
+    for v in ([1.0, 1.0], [1.0, 0.0, 0.0], [np.nan, 0.0]):
+        with pytest.raises(ValueError, match="normalized single-qubit input"):
+            fidelity(np.eye(2) / 2, np.array(v))
 
 
 def test_purity_endpoints():
@@ -355,10 +360,12 @@ def test_work_per_point(kind, monkeypatch):
     32 x 32 (the heralded 5-qubit states, 4 cuts each). X+ and Y+ mix the
     parity blocks and take one full solve per cut; Z+, Z- and the t1 state
     each lie in one parity block, so each cut is solved as two diagonal
-    quarters in one call plus one SVD of a quarter. LAPACK solves 12 (SWAP
-    6) matrices at 128 x 128, 24 + 24 at 32 x 32 and 10 at 16 x 16, and
-    takes 17 SVDs: 12 at 32 x 32 and 5 at 16 x 16. Round-off between the
-    parity blocks would show as more full solves."""
+    quarters in one call plus one SVD of a quarter. protocol.project_pair
+    checks each heralded block's spectrum with one more 32 x 32 solve, not
+    through the solver. LAPACK solves 12 (SWAP 6) matrices at 128 x 128,
+    24 + 24 + 6 at 32 x 32 and 10 at 16 x 16, and takes 17 SVDs: 12 at
+    32 x 32 and 5 at 16 x 16. Round-off between the parity blocks would show
+    as more full solves."""
     solves, lapack, svds, evolved = Counter(), Counter(), Counter(), []
     solve, eigvalsh = metrics.hermitian_eigenvalues, np.linalg.eigvalsh
     svd, evolve = np.linalg.svd, metrics.evolve_array
@@ -387,7 +394,7 @@ def test_work_per_point(kind, monkeypatch):
     average_over_inputs(kind, 0.6, 0.03, EvolutionConfig(0.25))
     t2_states = 3 if kind is EncodingKind.SWAP else 4
     assert solves == {128: t2_states, 64: 1, 32: 6}
-    assert lapack == {128: 6 * (t2_states - 2), 32: 48, 16: 10}
+    assert lapack == {128: 6 * (t2_states - 2), 32: 54, 16: 10}
     assert svds == {32: 12, 16: 5}
     assert evolved == [(1, 128, 128), (1, 128, 128), (3, 128, 128)]
 
@@ -438,7 +445,7 @@ def test_swap_t2_images_obey_the_phase_symmetry(rate_convention):
         images = v[:, None] * ops2 * v.conj()
         assert np.array_equal(images[:2], ops2[:2])
         assert np.array_equal(images[2], -1j * ops2[2])
-        x, y = metrics._input_states(ops2, (PAULI_EIGENSTATES[0], PAULI_EIGENSTATES[2]))
+        x, y = metrics._input_states(ops2, PAULI_EIGENSTATES[[0, 2]])
         assert np.array_equal(v[:, None] * x * v.conj(), y)
         assert abs(total_negativity(x) - total_negativity(y)) <= 1e-13
 

@@ -10,8 +10,9 @@ from teleportsim import gates, protocol
 from teleportsim.evolution import EvolutionConfig, NoiseModel
 from teleportsim.gates import ParsedSchedule, ScheduleEntry
 from teleportsim.metrics import run_protocol
-from teleportsim.protocol import (EncodingKind, InputState, InvariantError,
+from teleportsim.protocol import (EncodingKind, InvariantError,
                                   MEASUREMENT_PAIRS, PAULI_EIGENSTATES,
+                                  PAULI_LABELS,
                                   PostselectionImpossibleError, TRACE_ATOL,
                                   build_schedule, pair_block, project_pair)
 from teleportsim.tensor_core import partial_trace
@@ -25,19 +26,17 @@ CFG = EvolutionConfig(0.01)
 
 
 def test_input_states_are_pauli_eigenstates():
-    assert len(PAULI_EIGENSTATES) == 6
+    assert PAULI_EIGENSTATES.shape == (6, 2)
+    assert PAULI_EIGENSTATES.dtype == complex
+    assert not PAULI_EIGENSTATES.flags.writeable
+    assert len(PAULI_LABELS) == 6
     paulis = {"X": np.array([[0, 1], [1, 0]]),
               "Y": np.array([[0, -1j], [1j, 0]]),
               "Z": np.array([[1, 0], [0, -1]])}
-    for phi in PAULI_EIGENSTATES:
-        axis, sign = phi.label[0], 1 if phi.label[1] == "+" else -1
-        out = paulis[axis] @ phi.vector
-        assert np.allclose(out, sign * phi.vector)
-
-
-def test_input_state_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        InputState("bad", np.array([1.0, 1.0]))
+    for label, v in zip(PAULI_LABELS, PAULI_EIGENSTATES):
+        axis, sign = label[0], 1 if label[1] == "+" else -1
+        assert np.linalg.norm(v) == pytest.approx(1, abs=1e-15)
+        assert np.allclose(paulis[axis] @ v, sign * v)
 
 
 def test_initial_state_structure():
@@ -200,6 +199,55 @@ def test_a_heralding_probability_above_one_is_an_error():
         project_pair(block * (1 + 1e-6), (3, 4))
 
 
+def test_a_negative_heralding_probability_is_an_error():
+    """A block of trace -0.5 is no heralded outcome of a state: an invariant
+    failure, not an input to skip. A round-off zero just below 0 is an
+    impossible outcome."""
+    block = np.eye(32) / 32
+    with pytest.raises(InvariantError, match=r"pair \(3, 4\) has probability "
+                       r"-0\.5 below 0"):
+        project_pair(-0.5 * block, (3, 4))
+    with pytest.raises(PostselectionImpossibleError):
+        project_pair(-1e-13 * block, (3, 4))
+
+
+def test_a_heralded_block_that_is_not_psd_is_an_error():
+    """Each eigenvalue of the block is a probability, like its trace: one
+    below -TRACE_ATOL is an invariant failure, though the trace is fine;
+    round-off within TRACE_ATOL passes."""
+    block = np.diag([0.75, -0.25] + [0.0] * 30).astype(complex)
+    with pytest.raises(InvariantError, match=r"heralded block on pair \(3, 4\) "
+                       r"is not PSD: its smallest eigenvalue is -0\.25"):
+        project_pair(block, (3, 4))
+    block[1, 1] = -TRACE_ATOL / 2
+    assert project_pair(block, (3, 4))[1] == pytest.approx(0.75)
+
+
+# one schedule per rule of protocol._check_schedule that is not about the
+# register: (gates as (name, sites, start, duration), t1, t2, t3, message)
+SCHEDULE_RULES = {
+    "checkpoint order": ([("RZ", (2,), 0.0, 1.0)], 2.0, 1.0, 3.0,
+                         "checkpoints must satisfy"),
+    "outside [0, t3]": ([("RZ", (2,), 2.0, 2.0)], 1.0, 2.0, 3.0, "lies outside"),
+    "overlap": ([("RZ", (2,), 0.0, 2.0), ("RZ", (2,), 1.0, 2.0)], 2.0, 10.0,
+                12.0, "overlap in time"),
+    "qubit 1 before t1": ([("RZ", (1,), 0.0, 1.0)], 2.0, 10.0, 12.0,
+                          "must be idle until t1"),
+    "parity before t2": ([("HAD", (2,), 0.0, 1.0)], 2.0, 10.0, 12.0,
+                         "does not commute with the parity"),
+}
+
+
+@pytest.mark.parametrize("rule", list(SCHEDULE_RULES))
+def test_each_schedule_rule_raises_a_schedule_error(monkeypatch, rule):
+    gate_list, t1, t2, t3, message = SCHEDULE_RULES[rule]
+    entries = tuple(ScheduleEntry(name, sites, start, duration, "0.3")
+                    for name, sites, start, duration in gate_list)
+    with_schedule(monkeypatch, ParsedSchedule(entries, t1, t2, t3))
+    with pytest.raises(gates.ScheduleError, match=message):
+        build_schedule(EncodingKind.SWAP, 0.5)
+
+
 def test_run_protocol_checkpoints_valid_and_deterministic():
     rhos = run_protocol(EncodingKind.SCRAMBLING, 0.8, 0.03, CFG)
     assert all(r.shape == (6, 128, 128) for r in rhos)
@@ -243,7 +291,7 @@ def test_noiseless_matches_state_vector_oracle(kind):
     phi = PAULI_EIGENSTATES[2]  # Y+
     rho1, rho2, rho3 = (r[2] for r in run_protocol(kind, 0.7, 0.0, CFG))
     post, prob = project_pair(pair_block(rho3, (3, 4)), (3, 4))
-    ref = oracle.run(kind.value, 0.7, phi.vector)
+    ref = oracle.run(kind.value, 0.7, phi)
     # the heralded state: amplitudes with qubits 3 and 4 in |00>
     herald = ref["post"].reshape((2,) * 7)[:, :, 0, 0].reshape(-1)
     for got, psi in [(rho1, ref["t1"]), (rho2, ref["t2"]), (rho3, ref["t3"]),

@@ -128,7 +128,7 @@ def brute_force(kind, alpha, gamma, convention, pair) -> MetricsRecord:
         n3.append(sum(cuts))
         # the cut (1..p2-1 | p2..7)
         cut.append(cuts[pair[1] - 2])
-    fids = [np.real(phi.vector.conj() @ partial_trace(sigma, (NUM_QUBITS,)) @ phi.vector)
+    fids = [np.real(phi.conj() @ partial_trace(sigma, (NUM_QUBITS,)) @ phi)
             for phi, sigma in zip(PAULI_EIGENSTATES, projected)]
     return MetricsRecord(
         kind=kind, alpha=alpha, gamma=gamma,

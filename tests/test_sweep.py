@@ -458,6 +458,54 @@ def test_no_input_that_heralds_is_an_error_row(tmp_path, monkeypatch, capsys):
     assert not any(row.split(",")[3:13])
 
 
+def test_a_heralded_block_that_is_not_psd_is_an_error_row(tmp_path, monkeypatch,
+                                                          capsys):
+    """A traceless diag(2, -2, 0, ...) added to the |00> block of A's image
+    at t3 keeps every heralding probability but leaves a negative eigenvalue
+    near -2: project_pair's PSD check fails, and simulate writes that as the
+    row's error and exits 3."""
+    real = protocol.pair_block
+
+    def skewed(matrix, pair):
+        blocks = real(matrix, pair)
+        blocks[0, 0, 0] += 2
+        blocks[0, 1, 1] -= 2
+        return blocks
+
+    monkeypatch.setattr(protocol, "pair_block", skewed)
+    monkeypatch.setenv("SIM_THREADS", "1")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("dt = 0.25\nprotocols = swap\nalpha_count = 1\n"
+                        "gamma_count = 1\n")
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    assert "ERROR rows-failed 1 of 1 rows failed" in capsys.readouterr().err
+    row = (tmp_path / "sweep.csv").read_text().splitlines()[-1]
+    assert re.search(r",InvariantError:heralded block on pair \(3; 4\) is not "
+                     r"PSD: its smallest eigenvalue is -\d", row)
+    assert not any(row.split(",")[3:13])
+
+
+# bench/run.py's sweep-grid gamma for seeds 1, 8, 13, 18 and 30, whose SWAP
+# heralded states have the most negative round-off eigenvalues, about -1.6e-16
+@pytest.mark.parametrize("gamma", [0.01239, 0.017469, 0.019245, 0.01497, 0.034649])
+def test_the_benchmark_sweep_grid_runs_clean(tmp_path, monkeypatch, gamma):
+    """The benchmark's sweep-grid settings: fig7 over both protocols, alpha
+    0, 0.5 and 1, one gamma and dt 0.04; every row is error-free."""
+    monkeypatch.setenv("SIM_THREADS", "1")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"protocols = scrambling,swap\nalpha_min = 0.0\n"
+                        f"alpha_max = 1.0\nalpha_count = 3\ngamma_min = {gamma}\n"
+                        f"gamma_max = {gamma}\ngamma_count = 1\ndt = 0.04\n"
+                        f"output = sweep.csv\n")
+    argv = ["--config", str(cfg_path), "--figure", "fig7", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "sweep.csv").read_text().splitlines()
+            if line.startswith(("scrambling,", "swap,"))]
+    assert len(rows) == 6
+    assert [row[sweep.COLUMNS.index("error")] for row in rows] == [""] * 6
+
+
 def test_rows_are_appended_once_each(tmp_path, monkeypatch):
     monkeypatch.setenv("SIM_THREADS", "1")
     real = sweep._write_rows

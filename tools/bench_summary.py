@@ -5,10 +5,13 @@
 Run from any directory; it works on the checkout it lives in. It runs
 `bench/run.py --trace 0` for each workload with seeds 1..N, reads each run's
 `bench/out/result-<workload>-seed<N>-trace0.json`, and runs the Tier-1 suite
-once. The JSON holds, per workload and end-to-end metric, the median, the
-quartiles and n; `correct`, `attempted` and `failed` of each run; the first
-run's environment block; the Tier-1 wall time and its outcome counts; and
-the git commit with a flag for uncommitted changes to tracked files.
+once. The JSON holds the run length in seconds and the run count N; per
+workload and end-to-end metric, the median, the quartiles and n; `correct`,
+`attempted` and `failed` of each run; the first run's environment block; the
+Tier-1 wall time and its outcome counts; and the git commit with a flag for
+uncommitted changes to tracked files. A run that exits non-zero is recorded
+as its seed and exit code, and adds no metric; the file is still written,
+and the tool then exits 1.
 """
 
 from __future__ import annotations
@@ -40,24 +43,28 @@ def spread(values: list[float]) -> dict:
 
 def summarize(label: str, records: list[dict], tier1: dict, git: dict) -> dict:
     """The BENCH file's content from bench/run.py result records (each as
-    its result JSON reads), the Tier-1 outcome and the git state."""
+    its result JSON reads, or {"workload", "seed", "exit_code"} for a run
+    that failed), the Tier-1 outcome and the git state."""
+    good = [r for r in records if "exit_code" not in r]
     workloads = {}
     for name in dict.fromkeys(r["workload"] for r in records):
         runs = [r for r in records if r["workload"] == name]
         metrics = {}
         for run in runs:
-            for key, metric in run["result"]["metrics"].items():
-                metrics.setdefault(key, {"unit": metric["unit"], "values": []})
-                metrics[key]["values"].append(metric["value"])
+            if "exit_code" not in run:
+                for key, metric in run["result"]["metrics"].items():
+                    metrics.setdefault(key, {"unit": metric["unit"], "values": []})
+                    metrics[key]["values"].append(metric["value"])
         workloads[name] = {
             "metrics": {key: {"unit": m["unit"], **spread(m["values"])}
                         for key, m in metrics.items()},
-            "runs": [{"seed": r["seed"],
-                      **{k: r["result"][k] for k in ("correct", "attempted", "failed")}}
+            "runs": [{"seed": r["seed"], "exit_code": r["exit_code"]} if "exit_code" in r
+                     else {"seed": r["seed"],
+                           **{k: r["result"][k] for k in ("correct", "attempted", "failed")}}
                      for r in runs],
         }
     return {"label": label, "git": git,
-            "environment": records[0]["environment"],
+            "environment": good[0]["environment"] if good else None,
             "workloads": workloads, "tier1": tier1}
 
 
@@ -103,17 +110,25 @@ def main(argv=None) -> int:
     records = []
     for seed in range(1, args.runs + 1):
         for workload in WORKLOADS:
-            subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                            "--seed", str(seed), "--seconds", str(args.seconds),
-                            "--trace", "0"], cwd=ROOT, check=True,
-                           stdout=subprocess.DEVNULL)
+            done = subprocess.run(
+                [sys.executable, "bench/run.py", "--workload", workload,
+                 "--seed", str(seed), "--seconds", str(args.seconds),
+                 "--trace", "0"], cwd=ROOT, stdout=subprocess.DEVNULL)
+            if done.returncode:
+                # its result file, if any, may be left from an earlier run
+                print(f"{workload} seed {seed} exited {done.returncode}",
+                      file=sys.stderr)
+                records.append({"workload": workload, "seed": seed,
+                                "exit_code": done.returncode})
+                continue
             path = ROOT / "bench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
             records.append(json.loads(path.read_text()))
-    summary = summarize(args.label, records, run_tier1(), git_state())
+    summary = {"seconds": args.seconds, "runs": args.runs,
+               **summarize(args.label, records, run_tier1(), git_state())}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(summary, indent=1) + "\n")
     print(f"wrote {out}")
-    return 0
+    return 1 if any("exit_code" in r for r in records) else 0
 
 
 if __name__ == "__main__":
